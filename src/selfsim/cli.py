@@ -29,8 +29,7 @@ import sys
 from dataclasses import dataclass
 
 from .instances import InstanceConfigError, load_config
-from . import engine
-from .engine import CapExceeded, decompose, export_automaton, portrait, states_bfs
+from .engine import CapExceeded, decompose, portrait, states_bfs
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -114,7 +113,7 @@ def _emit(obj) -> None:
 def _load(config_path: str):
     try:
         return load_config(config_path)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(EXIT_PARSE, f"cannot read config: {exc}") from exc
     except InstanceConfigError as exc:
         raise _Exit(EXIT_INVALID, f"invalid instance configuration: {exc}") from exc
@@ -177,7 +176,7 @@ def cmd_automaton(args) -> int:
             }
         )
         return EXIT_OK
-    blob = export_automaton(res, args.format)
+    blob = res.to_dot_bytes() if args.format == "dot" else res.to_json_bytes()
     if args.output:
         try:
             with open(args.output, "wb") as fh:

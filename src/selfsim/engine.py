@@ -111,6 +111,14 @@ class Instance(ABC):
     Elements must be immutable, hashable, and equal exactly when they are
     equal in the group (canonical forms).  The transversal is ordered with
     t_0 in H (all families use t_0 = identity).
+
+    A family must provide the abstract members: `degree`,
+    `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
+    `endo_f`, `generators` and `render`.  It may override `coset_index`
+    with a closed form (`coset_index_exhaustive` stays the oracle),
+    `random_element` with a sampler of its own (the default is a random
+    generator word), and `describe`.  The verify suites also need
+    `random_h_element`, a random element of H.
     """
 
     family: str = "abstract"
@@ -180,6 +188,22 @@ class Instance(ABC):
 
     def coset_index(self, g) -> int:
         return self.coset_index_exhaustive(g)
+
+    def random_word(self, rng, length: int):
+        """A product of `length` factors, each drawn by rng.choice from the
+        distinct non-identity generators in `generators()` order and then
+        inverted when rng.randrange(2) is 1."""
+        gens = list(dict.fromkeys(g for name, g in self.generators().items() if name != "e"))
+        out = self.identity()
+        for _ in range(length):
+            g = rng.choice(gens)
+            if rng.randrange(2):
+                g = self.invert(g)
+            out = self.multiply(out, g)
+        return out
+
+    def random_element(self, rng, length: int = 5):
+        return self.random_word(rng, length)
 
     def elem_pow(self, g, k: int):
         if k < 0:
@@ -408,16 +432,11 @@ def states_bfs(inst: Instance, g, cap: int):
     )
 
 
-def export_automaton(a: MealyAutomaton, fmt: str) -> bytes:
-    if fmt == "dot":
-        return a.to_dot_bytes()
-    if fmt == "json":
-        return a.to_json_bytes()
-    raise ValueError(f"unsupported automaton format: {fmt}")
-
-
-def automaton_from_json(data: bytes) -> MealyAutomaton:
-    return MealyAutomaton.from_json_bytes(data)
+def states_within(inst: Instance, g, cap: int, member) -> bool:
+    """Whether the state set of g closes within `cap` states, every state
+    satisfying the predicate `member`."""
+    res = states_bfs(inst, g, cap)
+    return not isinstance(res, CapExceeded) and all(member(e) for e in res.elements)
 
 
 def transversal_validate(inst: Instance, sample=()) -> bool:

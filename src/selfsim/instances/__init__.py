@@ -48,11 +48,17 @@ def load_config(source):
     if not isinstance(p, int):
         raise InstanceConfigError("config key 'p' must be an integer")
 
+    def poly(raw, key):
+        # JSON integers only: no strings, floats or booleans
+        if not isinstance(raw, list) or not all(type(c) is int for c in raw):
+            raise InstanceConfigError(f"coefficients in config key '{key}' must be a list of integers")
+        return DensePoly(p, raw)
+
     def polys(key="polys"):
         raw = data.get(key)
         if not isinstance(raw, list) or not all(isinstance(f, list) for f in raw):
             raise InstanceConfigError(f"config key '{key}' must be a list of coefficient lists")
-        return [DensePoly(p, f) for f in raw]
+        return [poly(f, key) for f in raw]
 
     if family == "borel":
         from .borel import BorelInstance
@@ -83,6 +89,6 @@ def load_config(source):
         if not isinstance(d, int):
             raise InstanceConfigError("wreath config requires integer 'd'")
         g = data.get("g")
-        gpoly = DensePoly(p, g) if g is not None else None
+        gpoly = poly(g, "g") if g is not None else None
         return WreathInstance(p, d, g=gpoly, localized=bool(data.get("localized", False)))
     raise InstanceConfigError(f"unknown family: {family!r}")

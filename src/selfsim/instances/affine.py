@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 
-from ..engine import Instance
+from ..engine import Instance, states_within
 from ..matrix import PolyMat, apply_A, conj_by_A, rho
 from ..ring import DensePoly, is_prime
 from . import InstanceConfigError
@@ -161,16 +161,6 @@ class AffineInstance(Instance):
     def describe(self) -> dict:
         return {"family": self.family, "p": self.p, "n": self.n, "degree": self.degree}
 
-    def random_element(self, rng, length: int = 5) -> AffineElem:
-        gens = [g for name, g in self.generators().items() if name != "e"]
-        out = self._identity
-        for _ in range(length):
-            g = rng.choice(gens)
-            if rng.randrange(2):
-                g = self.invert(g)
-            out = self.multiply(out, g)
-        return out
-
     def random_h_element(self, rng, length: int = 5) -> AffineElem:
         g = self.random_element(rng, length)
         v = (g.v[0] * self.pivot,) + g.v[1:]
@@ -208,15 +198,7 @@ class AffineInstance(Instance):
 
     def delta_closure_check(self, elems, k: int, cap: int = 4096) -> bool:
         """All iterated states of the given degree-k elements stay degree-k."""
-        from ..engine import CapExceeded, states_bfs
-
-        for g in elems:
-            res = states_bfs(self, g, cap)
-            if isinstance(res, CapExceeded):
-                return False
-            if not all(self.in_delta(e, k) for e in res.elements):
-                return False
-        return True
+        return all(states_within(self, g, cap, lambda e: self.in_delta(e, k)) for g in elems)
 
 
 def affine_coset_index(e: AffineElem, alpha: int) -> int:

@@ -22,8 +22,9 @@ exhaustive search survives as `coset_index_exhaustive`, the test oracle.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from ..engine import Instance
+from ..engine import ContractViolation, Instance, decompose, states_within
 from ..matrix import TriMat, tri_inverse
 from ..ring import (
     DensePoly,
@@ -85,7 +86,6 @@ class BorelInstance(Instance):
         one = self.ring.unit_one()
         self._unit_ident = (one,) * m
         self._identity = BorelElem(TriMat.identity(self.ring, m), self._unit_ident, _canonical=True)
-        self._index_of_n = None
 
     # -- element construction ---------------------------------------------
 
@@ -99,25 +99,6 @@ class BorelInstance(Instance):
             scale = lead.inv()
             d_part = tuple(u * scale for u in d_part)
         return BorelElem(n_part, d_part, _canonical=True)
-
-    def from_matrix(self, rows) -> BorelElem:
-        """Element from a full upper-triangular matrix of ring fractions
-        whose diagonal entries are units."""
-        m = self.m
-        d_part = tuple(rows[i][i].as_unit() for i in range(m))
-        inv = [u.inv() for u in d_part]
-        n_rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if j < i:
-                    row.append(self.ring.zero)
-                elif j == i:
-                    row.append(self.ring.one)
-                else:
-                    row.append(rows[i][j].mul_unit(inv[j]))
-            n_rows.append(row)
-        return self.make_element(TriMat(self.ring, n_rows), d_part)
 
     def matrix_entry(self, g: BorelElem, i: int, j: int) -> SFraction:
         """Entry (i, j) of the representative matrix N * D."""
@@ -169,7 +150,6 @@ class BorelInstance(Instance):
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         choices = [self._superdiag_polys(j - i) for (i, j) in positions]
         elems = []
-        index = {}
         for combo in itertools.product(*choices):
             rows = [
                 [self.ring.one if i == j else self.ring.zero for j in range(m)]
@@ -177,10 +157,7 @@ class BorelInstance(Instance):
             ]
             for (pos, poly) in zip(positions, combo):
                 rows[pos[0]][pos[1]] = self.ring.from_poly(poly)
-            n_part = TriMat(self.ring, rows)
-            index[n_part] = len(elems)
-            elems.append(BorelElem(n_part, self._unit_ident, _canonical=True))
-        self._index_of_n = index
+            elems.append(BorelElem(TriMat(self.ring, rows), self._unit_ident, _canonical=True))
         return elems
 
     def identity(self) -> BorelElem:
@@ -246,10 +223,9 @@ class BorelInstance(Instance):
         """Superdiagonal-by-superdiagonal reduction.
 
         Solves d_i * s[i][l] = -(M[i][l] + sum_{i<r<l} M[i][r] s[r][l])
-        modulo (x-1)^(l-i) for the entries of s = t^{-1}, then looks the
-        resulting t up in the transversal enumeration.
+        modulo (x-1)^(l-i) for the entries of s = t^{-1}, then looks s up
+        among the transversal inverses.
         """
-        self.transversal  # ensure the index map exists
         m = self.m
         ring = self.ring
         M = [[None] * m for _ in range(m)]
@@ -278,13 +254,15 @@ class BorelInstance(Instance):
             ]
             for i in range(m)
         ]
-        t_n = tri_inverse(TriMat(ring, rows))
-        idx = self._index_of_n.get(t_n)
+        idx = self._index_of_inverse_n.get(TriMat(ring, rows))
         if idx is None:
-            from ..engine import ContractViolation
-
             raise ContractViolation("coset reduction left the transversal")
         return idx
+
+    @cached_property
+    def _index_of_inverse_n(self) -> dict:
+        """The N-part of each transversal inverse t_j^{-1}, mapped to j."""
+        return {t.n_part: j for j, t in enumerate(self.transversal_inverses)}
 
     def generators(self) -> dict:
         """u1..u_{m-1} (superdiagonal elementary) and xK_S (diagonal f_S at
@@ -333,22 +311,6 @@ class BorelInstance(Instance):
             "degree": self.degree,
             "l_exponent": self.l_exponent,
         }
-
-    def random_element(self, rng, length: int = 5) -> BorelElem:
-        gens = []
-        seen = set()
-        for name, g in self.generators().items():
-            if name == "e" or g in seen:
-                continue
-            seen.add(g)
-            gens.append(g)
-        out = self._identity
-        for _ in range(length):
-            g = rng.choice(gens)
-            if rng.randrange(2):
-                g = self.invert(g)
-            out = self.multiply(out, g)
-        return out
 
     def random_h_element(self, rng, length: int = 5) -> BorelElem:
         g = self.random_element(rng, length)
@@ -415,18 +377,13 @@ class BorelInstance(Instance):
     def claim2_check(self, k: int, sdx: int, cap: int | None = None) -> bool:
         """All iterated states of the diagonal generator at (k, s) close
         inside the bounded-degree set above."""
-        from ..engine import CapExceeded, states_bfs
-
         cap = cap if cap is not None else self.delta_size(k, sdx)
-        res = states_bfs(self, self.diagonal_generator(k, sdx), cap)
-        if isinstance(res, CapExceeded):
-            return False
-        return all(self.in_delta(e, k, sdx) for e in res.elements)
+        return states_within(
+            self, self.diagonal_generator(k, sdx), cap, lambda e: self.in_delta(e, k, sdx)
+        )
 
     def u_states_trivial_check(self) -> bool:
         """The superdiagonal generators have only trivial states."""
-        from ..engine import decompose
-
         for i in range(1, self.m):
             dec = decompose(self, self.generators()[f"u{i}"])
             if any(s != self._identity for s in dec.states):

@@ -40,7 +40,6 @@ from ..ring import (
     DensePoly,
     MultiLaurent,
     MultiLocalizedRing,
-    MultiSFraction,
     is_prime,
 )
 from . import InstanceConfigError
@@ -334,13 +333,3 @@ class WreathInstance(Instance):
             y = (g.y[0] - g.y[0] % self.p,) + g.y[1:]
             return WreathElem(r, q, y)
         return WreathElem(r, q)
-
-    def random_word(self, rng, max_len=6) -> WreathElem:
-        gens = [g for name, g in self.generators().items() if name != "e"]
-        out = self._identity
-        for _ in range(rng.randrange(1, max_len + 1)):
-            g = rng.choice(gens)
-            if rng.randrange(2):
-                g = self.invert(g)
-            out = self.multiply(out, g)
-        return out

@@ -2,12 +2,11 @@
 
 Two matrix flavors are used by the instance families:
 
-* upper-triangular matrices over a localized ring (``TriMat``) together
-  with diagonal matrices of units (``DiagMat``), the building blocks of
-  the triangular matrix groups;
-* square matrices and column vectors over F_p[x] (``PolyMat``,
-  ``ColumnVec``) for the affine family, with the shift-style conjugation
-  by the companion matrix A computed in closed form.
+* upper-triangular matrices over a localized ring (``TriMat``), the
+  building blocks of the triangular matrix groups;
+* square matrices over F_p[x] (``PolyMat``) acting on columns given as
+  tuples of polynomials, for the affine family, with the shift-style
+  conjugation by the companion matrix A computed in closed form.
 
 In closed form, conjugation by A permutes entries cyclically and moves a
 single factor of (x-1) in and out of the last row/column:
@@ -29,13 +28,7 @@ from .ring import (
     LocalizedRing,
     NotDivisible,
     NotInvertible,
-    SFraction,
-    Unit,
 )
-
-
-# Column vectors over F_p[x] are plain tuples of DensePoly values.
-ColumnVec = tuple
 
 
 class TriMat:
@@ -65,11 +58,6 @@ class TriMat:
             ],
         )
 
-    @property
-    def is_unitriangular(self) -> bool:
-        one = self.ring.one
-        return all(self.rows[i][i] == one for i in range(self.size))
-
     def __mul__(self, other: "TriMat") -> "TriMat":
         if self.size != other.size:
             raise ValueError("size mismatch")
@@ -93,9 +81,6 @@ class TriMat:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def to_json(self) -> list:
-        return [[entry.to_json() for entry in row] for row in self.rows]
 
     def render(self) -> str:
         return "[" + ",".join(
@@ -138,37 +123,6 @@ def tri_inverse(t: TriMat) -> TriMat:
                     acc = acc + x * y
             b[i][j] = -(inv_diag[i] * acc)
     return TriMat(ring, b)
-
-
-class DiagMat:
-    """A diagonal matrix of localized-ring units."""
-
-    __slots__ = ("entries", "_hash")
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        if not all(isinstance(u, Unit) for u in self.entries):
-            raise ValueError("diagonal entries must be units")
-        self._hash = hash(self.entries)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __mul__(self, other: "DiagMat") -> "DiagMat":
-        return DiagMat(tuple(a * b for a, b in zip(self.entries, other.entries)))
-
-    def inv(self) -> "DiagMat":
-        return DiagMat(tuple(u.inv() for u in self.entries))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DiagMat) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def render(self) -> str:
-        return "diag(" + ",".join(u.render() for u in self.entries) + ")"
 
 
 class PolyMat:
@@ -225,22 +179,7 @@ class PolyMat:
 
     def det(self) -> DensePoly:
         """Determinant by Laplace expansion (desk-scale sizes)."""
-
-        def rec(rows, cols):
-            if len(cols) == 1:
-                return rows[0][cols[0]]
-            acc = DensePoly.zero(self.p)
-            sign = 1
-            for idx, c in enumerate(cols):
-                top = rows[0][c]
-                if not top.is_zero:
-                    sub = rec(rows[1:], cols[:idx] + cols[idx + 1 :])
-                    term = top * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            return acc
-
-        return rec(self.rows, tuple(range(self.size)))
+        return _laplace_det(self.p, self.rows, tuple(range(self.size)))
 
     def inverse_gl(self) -> "PolyMat":
         """Inverse when the determinant is a nonzero constant."""
@@ -254,25 +193,9 @@ class PolyMat:
         out = [[None] * n for _ in range(n)]
         idx = tuple(range(n))
         for i in range(n):
+            rows = self.rows[:i] + self.rows[i + 1 :]
             for j in range(n):
-                rows = tuple(self.rows[r] for r in idx if r != i)
-                cols = tuple(c for c in idx if c != j)
-
-                def rec(rws, cls):
-                    if len(cls) == 1:
-                        return rws[0][cls[0]]
-                    acc = DensePoly.zero(self.p)
-                    sign = 1
-                    for k, c in enumerate(cls):
-                        top = rws[0][c]
-                        if not top.is_zero:
-                            acc = acc + (
-                                (top * rec(rws[1:], cls[:k] + cls[k + 1 :])).mul_scalar(sign)
-                            )
-                        sign = -sign
-                    return acc
-
-                minor = rec(rows, cols)
+                minor = _laplace_det(self.p, rows, idx[:j] + idx[j + 1 :])
                 out[j][i] = minor.mul_scalar(dinv if (i + j) % 2 == 0 else -dinv % self.p)
         return PolyMat(self.p, out)
 
@@ -281,9 +204,6 @@ class PolyMat:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.rows]
 
     @staticmethod
     def from_json(p: int, data) -> "PolyMat":
@@ -296,6 +216,20 @@ class PolyMat:
 
     def __repr__(self) -> str:
         return f"PolyMat({self.render()})"
+
+
+def _laplace_det(p: int, rows, cols) -> DensePoly:
+    """Determinant of the square submatrix on the given rows and columns,
+    expanded along its first row."""
+    if len(cols) == 1:
+        return rows[0][cols[0]]
+    acc = DensePoly.zero(p)
+    for k, c in enumerate(cols):
+        top = rows[0][c]
+        if not top.is_zero:
+            term = top * _laplace_det(p, rows[1:], cols[:k] + cols[k + 1 :])
+            acc = acc - term if k % 2 else acc + term
+    return acc
 
 
 def rho(c) -> int | float:

@@ -50,61 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeFieldElem:
-    """A residue modulo a prime p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "PrimeFieldElem") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "PrimeFieldElem") -> "PrimeFieldElem":
-        self._check(other)
-        return PrimeFieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other: "PrimeFieldElem") -> "PrimeFieldElem":
-        self._check(other)
-        return PrimeFieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other: "PrimeFieldElem") -> "PrimeFieldElem":
-        self._check(other)
-        return PrimeFieldElem(self.value * other.value, self.p)
-
-    def __neg__(self) -> "PrimeFieldElem":
-        return PrimeFieldElem(-self.value, self.p)
-
-    def inverse(self) -> "PrimeFieldElem":
-        if self.value == 0:
-            raise NotInvertible("zero has no inverse")
-        return PrimeFieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PrimeFieldElem)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     i = len(coeffs)
     while i > 0 and coeffs[i - 1] == 0:
@@ -198,12 +143,6 @@ class DensePoly:
             return self
         return DensePoly(self.p, [cc * c for cc in self.coeffs])
 
-    def shift(self, k: int) -> "DensePoly":
-        """Multiply by x^k, k >= 0."""
-        if self.is_zero or k == 0:
-            return self
-        return DensePoly(self.p, (0,) * k + self.coeffs)
-
     def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         self._check(other)
         if other.is_zero:
@@ -229,9 +168,6 @@ class DensePoly:
     def __mod__(self, other: "DensePoly") -> "DensePoly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "DensePoly") -> "DensePoly":
-        return divmod(self, other)[0]
-
     def divides(self, other: "DensePoly") -> bool:
         """True when self divides other exactly."""
         if self.is_zero:
@@ -256,11 +192,6 @@ class DensePoly:
         for coeff in reversed(self.coeffs):
             acc = (acc * c + coeff) % self.p
         return acc
-
-    def monic(self) -> "DensePoly":
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        return self.mul_scalar(pow(self.coeffs[-1], self.p - 2, self.p))
 
     def is_irreducible(self) -> bool:
         """Exhaustive trial division by monic polynomials up to degree/2."""
@@ -313,10 +244,6 @@ class DensePoly:
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
-    @staticmethod
-    def from_json(p: int, data) -> "DensePoly":
-        return DensePoly(p, data)
-
     def render(self) -> str:
         if self.is_zero:
             return "0"
@@ -334,17 +261,6 @@ class DensePoly:
 
     def __repr__(self) -> str:
         return f"DensePoly({self.render()} mod {self.p})"
-
-
-def poly_divrem(a: DensePoly, b: DensePoly) -> tuple[DensePoly, DensePoly]:
-    """Quotient and remainder of a by b; deg(remainder) < deg(b)."""
-    return divmod(a, b)
-
-
-def gcd(a: DensePoly, b: DensePoly) -> DensePoly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
 
 
 class Unit:
@@ -381,19 +297,6 @@ class Unit:
     @property
     def is_one(self) -> bool:
         return self.c == 1 and not any(self.exps)
-
-    def eval_at_one(self) -> int:
-        p = self.ring.p
-        acc = self.c
-        for f, e in zip(self.ring.polys, self.exps):
-            v = f.eval(1)
-            if v == 0:
-                raise DenominatorVanishes("basis polynomial vanishes at 1")
-            if e < 0:
-                v = pow(v, p - 2, p)
-                e = -e
-            acc = acc * pow(v, e, p) % p
-        return acc
 
     def as_fraction(self) -> "SFraction":
         num = DensePoly.constant(self.ring.p, self.c)
@@ -584,9 +487,6 @@ class SFraction:
     def __hash__(self) -> int:
         return self._hash
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": list(self.den)}
-
     @staticmethod
     def from_json(ring: LocalizedRing, data) -> "SFraction":
         if isinstance(data, dict):
@@ -646,8 +546,9 @@ def divide_exact(a: SFraction, k: int, divisor: DensePoly | None = None) -> SFra
     return SFraction(ring, q, a.den, _canonical=True)
 
 
-def eval_at_one(a: SFraction) -> PrimeFieldElem:
-    """Ring homomorphism onto F_p sending x to 1; zero exactly on (x-1)-multiples."""
+def eval_at_one(a: SFraction) -> int:
+    """Ring homomorphism onto F_p sending x to 1, as a residue in [0, p);
+    zero exactly on (x-1)-multiples."""
     p = a.ring.p
     acc = a.num.eval(1)
     for f, e in zip(a.ring.polys, a.den):
@@ -656,7 +557,7 @@ def eval_at_one(a: SFraction) -> PrimeFieldElem:
             if v == 0:
                 raise DenominatorVanishes("denominator basis polynomial vanishes at 1")
             acc = acc * pow(pow(v, p - 2, p), e, p) % p
-    return PrimeFieldElem(acc, p)
+    return acc
 
 
 @dataclass
@@ -944,13 +845,6 @@ class MultiLaurent:
     def __hash__(self) -> int:
         return hash((self.p, self.d, self.key))
 
-    def to_json(self) -> list:
-        return [[list(e), c] for e, c in self.key]
-
-    @staticmethod
-    def from_json(p: int, d: int, data) -> "MultiLaurent":
-        return MultiLaurent(p, d, {tuple(e): c for e, c in data})
-
     def render(self, names: list[str] | None = None) -> str:
         if self.is_zero:
             return "0"
@@ -1102,9 +996,6 @@ class MultiSFraction:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": list(self.den)}
 
     def render(self, names: list[str] | None = None) -> str:
         names = names or [f"x{i+1}" for i in range(self.ring.d)]

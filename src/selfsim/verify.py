@@ -36,9 +36,6 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-SUITES = ("core", "borel", "affine", "lamplighter", "wreath", "tame")
-
-
 def word_bijectivity_check(inst, g, level: int) -> bool:
     """Extensional bijectivity of the action on all words of the given
     length (prefix compatibility makes this cover the shorter levels)."""
@@ -244,7 +241,7 @@ def wreath_suite(inst, rng) -> list[CheckResult]:
     ok = True
     probed = 0
     for _ in range(100):
-        g = inst.random_word(rng, 6)
+        g = inst.random_word(rng, rng.randrange(1, 7))
         if g == inst.identity():
             continue
         probed += 1
@@ -293,28 +290,21 @@ def tame_suite(inst, rng) -> list[CheckResult]:
     return out
 
 
+# suite name -> (family the suite requires, or None for any; suite function)
+SUITES = {
+    "core": (None, core_suite),
+    "borel": ("borel", borel_suite),
+    "affine": ("affine", affine_suite),
+    "lamplighter": ("lamplighter", lamplighter_suite),
+    "wreath": ("wreath", wreath_suite),
+    "tame": ("lamplighter", tame_suite),
+}
+
+
 def run_suite(name: str, inst, seed: int = 0) -> list[CheckResult]:
-    rng = random.Random(seed)
-    if name == "core":
-        return core_suite(inst, rng)
-    if name == "borel":
-        _require_family(inst, "borel")
-        return borel_suite(inst, rng)
-    if name == "affine":
-        _require_family(inst, "affine")
-        return affine_suite(inst, rng)
-    if name == "lamplighter":
-        _require_family(inst, "lamplighter")
-        return lamplighter_suite(inst, rng)
-    if name == "wreath":
-        _require_family(inst, "wreath")
-        return wreath_suite(inst, rng)
-    if name == "tame":
-        _require_family(inst, "lamplighter")
-        return tame_suite(inst, rng)
-    raise ValueError(f"unknown suite: {name} (pick from {', '.join(SUITES)})")
-
-
-def _require_family(inst, family: str) -> None:
-    if inst.family != family:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite: {name} (pick from {', '.join(SUITES)})")
+    family, suite = SUITES[name]
+    if family is not None and inst.family != family:
         raise ValueError(f"suite requires a {family} instance, got {inst.family}")
+    return suite(inst, random.Random(seed))

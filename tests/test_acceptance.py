@@ -184,7 +184,7 @@ def test_criterion_7_wreath_families():
             assert loc.endo_f(g) == loc.localized_endo_with_slack(g, 1)
         probed = 0
         while probed < 100:
-            g = loc.random_word(rng, 6)
+            g = loc.random_word(rng, rng.randrange(1, 7))
             if g == loc.identity():
                 continue
             probed += 1

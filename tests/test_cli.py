@@ -116,6 +116,37 @@ def test_build_missing_file_exits_3(capsys):
     assert code == EXIT_PARSE
 
 
+LAMP_F2 = {"family": "lamplighter", "p": 2}
+WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ({**LAMP_F2, "polys": [[0, "a"]]}, EXIT_INVALID),
+        ({**LAMP_F2, "polys": [[0, 1.7]]}, EXIT_INVALID),
+        ({**LAMP_F2, "polys": [[0, True]]}, EXIT_INVALID),
+        ({**WREATH_F2, "g": 5}, EXIT_INVALID),
+        (b'{"family": "\xff"}', EXIT_PARSE),
+        (None, EXIT_PARSE),
+    ],
+    ids=["string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory"],
+)
+def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "build", str(path))
+    assert code == expected
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 # -- decompose -----------------------------------------------------------------
 
 
@@ -177,10 +208,10 @@ def test_automaton_json_round_trip(tmp_path, capsys):
         str(out_file),
     )
     assert code == EXIT_OK
-    from selfsim.engine import automaton_from_json, export_automaton
+    from selfsim.engine import MealyAutomaton
 
     blob = out_file.read_bytes()
-    assert export_automaton(automaton_from_json(blob), "json") == blob
+    assert MealyAutomaton.from_json_bytes(blob).to_json_bytes() == blob
     data = json.loads(blob)
     assert len(data["states"]) == 2
 

@@ -220,7 +220,7 @@ def test_faithfulness_probe_on_words():
     inst = localized()
     checked = 0
     for _ in range(40):
-        g = inst.random_word(rng, 6)
+        g = inst.random_word(rng, rng.randrange(1, 7))
         if g == inst.identity():
             continue
         checked += 1

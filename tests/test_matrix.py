@@ -6,7 +6,6 @@ import random
 import pytest
 
 from selfsim.matrix import (
-    DiagMat,
     PolyMat,
     TriMat,
     apply_A,
@@ -136,12 +135,6 @@ def test_trimat_rejects_lower_entries():
     rg = ring()
     with pytest.raises(ValueError):
         TriMat(rg, [[rg.one, rg.zero], [rg.one, rg.one]])
-
-
-def test_diagmat_ops():
-    rg = ring()
-    d = DiagMat((rg.unit(1, (1, 0)), rg.unit(1, (0, 1))))
-    assert (d * d.inv()).entries[0].is_one
 
 
 # -- rho -----------------------------------------------------------------------
