@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .instances import InstanceConfigError, load_config
 from .engine import CapExceeded, decompose, portrait, states_bfs
+from .ring import NotInvertible
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -93,7 +94,7 @@ def eval_expr(inst, expr: ElementExpr):
             raise ExprError(f"the {inst.family} family takes no JSON literals")
         try:
             return maker(expr.literal)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, NotInvertible) as exc:
             raise ExprError(f"bad literal: {exc}") from exc
     gens = inst.generators()
     out = inst.identity()

@@ -26,12 +26,17 @@ class InstanceConfigError(ValueError):
     """A configuration violates the family hypotheses or the schema."""
 
 
+# The largest degree (transversal size) an instance may have.  Every
+# family's degree is at least p, so p is checked against it first.
+MAX_DEGREE = 4096
+
+
 def load_config(source):
     """Build an instance from a config dict, JSON text, or file path.
 
     Schema: {"family": "borel"|"affine"|"lamplighter"|"wreath", "p": int,
     "m"|"n"|"d": int, "polys": [[coeffs]...], "g": [coeffs],
-    "localized": bool}.
+    "localized": bool}.  The instance's degree must not exceed MAX_DEGREE.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -43,10 +48,18 @@ def load_config(source):
         data = source
     if not isinstance(data, dict):
         raise InstanceConfigError("config must be a JSON object")
+
+    def integer(key, message):
+        # JSON integers only: booleans are ints to Python but not to JSON
+        value = data.get(key)
+        if type(value) is not int:
+            raise InstanceConfigError(message)
+        return value
+
     family = data.get("family")
-    p = data.get("p")
-    if not isinstance(p, int):
-        raise InstanceConfigError("config key 'p' must be an integer")
+    p = integer("p", "config key 'p' must be an integer")
+    if p > MAX_DEGREE:
+        raise InstanceConfigError(f"p = {p} exceeds the degree bound {MAX_DEGREE}")
 
     def poly(raw, key):
         # JSON integers only: no strings, floats or booleans
@@ -63,32 +76,32 @@ def load_config(source):
     if family == "borel":
         from .borel import BorelInstance
 
-        m = data.get("m")
-        if not isinstance(m, int):
-            raise InstanceConfigError("borel config requires integer 'm'")
-        return BorelInstance(p, m, polys())
-    if family == "affine":
+        inst = BorelInstance(p, integer("m", "borel config requires integer 'm'"), polys())
+    elif family == "affine":
         from .affine import AffineInstance
 
-        n = data.get("n")
-        if not isinstance(n, int):
-            raise InstanceConfigError("affine config requires integer 'n'")
-        return AffineInstance(p, n)
-    if family == "lamplighter":
+        inst = AffineInstance(p, integer("n", "affine config requires integer 'n'"))
+    elif family == "lamplighter":
         from .lamplighter import LampInstance
 
         ps = polys()
-        n = data.get("n", len(ps))
-        if n != len(ps):
+        if "n" in data and integer("n", "lamplighter config key 'n' must be an integer") != len(ps):
             raise InstanceConfigError("'n' disagrees with the number of basis polynomials")
-        return LampInstance(p, ps)
-    if family == "wreath":
+        inst = LampInstance(p, ps)
+    elif family == "wreath":
         from .wreath import WreathInstance
 
-        d = data.get("d")
-        if not isinstance(d, int):
-            raise InstanceConfigError("wreath config requires integer 'd'")
+        d = integer("d", "wreath config requires integer 'd'")
         g = data.get("g")
         gpoly = poly(g, "g") if g is not None else None
-        return WreathInstance(p, d, g=gpoly, localized=bool(data.get("localized", False)))
-    raise InstanceConfigError(f"unknown family: {family!r}")
+        localized = data.get("localized", False)
+        if type(localized) is not bool:
+            raise InstanceConfigError("wreath config key 'localized' must be true or false")
+        inst = WreathInstance(p, d, g=gpoly, localized=localized)
+    else:
+        raise InstanceConfigError(f"unknown family: {family!r}")
+    if inst.degree > MAX_DEGREE:
+        raise InstanceConfigError(
+            f"degree {inst.degree} exceeds the enumeration bound {MAX_DEGREE}"
+        )
+    return inst

@@ -66,7 +66,7 @@ class BorelElem:
 class BorelInstance(Instance):
     family = "borel"
 
-    def __init__(self, p: int, m: int, polys, max_degree: int = 4096):
+    def __init__(self, p: int, m: int, polys):
         if m < 2:
             raise InstanceConfigError("matrix size m must be >= 2")
         report = validate_config(p, polys)
@@ -79,11 +79,7 @@ class BorelInstance(Instance):
         self.n = len(self.ring.polys)
         self.l_exponent = sum(i * (m - i) for i in range(1, m))
         self._degree = p ** self.l_exponent
-        if self._degree > max_degree:
-            raise InstanceConfigError(
-                f"transversal size p^l = {self._degree} exceeds the enumeration bound {max_degree}"
-            )
-        one = self.ring.unit_one()
+        one = self.ring.unit(1)
         self._unit_ident = (one,) * m
         self._identity = BorelElem(TriMat.identity(self.ring, m), self._unit_ident, _canonical=True)
 
@@ -121,15 +117,18 @@ class BorelInstance(Instance):
                     cell = raw_n[i][j] if raw_n is not None else []
                     row.append(SFraction.from_json(self.ring, cell))
             rows.append(row)
+        raw_d = data.get("d", [{}] * m)
+        shape = f"'d' must be a list of {m} objects with an integer 'c' and an integer list 'exps'"
+        if not isinstance(raw_d, list) or len(raw_d) != m:
+            raise ValueError(shape)
         units = []
-        raw_d = data.get("d")
-        for i in range(m):
-            if raw_d is None:
-                units.append(self.ring.unit_one())
-            else:
-                units.append(
-                    Unit(self.ring, raw_d[i].get("c", 1), raw_d[i].get("exps", (0,) * self.n))
-                )
+        for u in raw_d:
+            if not isinstance(u, dict):
+                raise ValueError(shape)
+            c, exps = u.get("c", 1), u.get("exps", [0] * self.n)
+            if type(c) is not int or not isinstance(exps, list) or any(type(e) is not int for e in exps):
+                raise ValueError(shape)
+            units.append(Unit(self.ring, c, exps))
         return self.make_element(TriMat(self.ring, rows), units)
 
     # -- contract -----------------------------------------------------------

@@ -1,13 +1,25 @@
 """Exact arithmetic over F_p, F_p[x], and localizations at a fixed basis.
 
-The localized ring inverts a fixed list of monic irreducible polynomials
-f_0 = x, f_1, ..., f_{n-1}, so every element has a canonical form
+Both localized rings are S^{-1}R for S generated by a basis b_0, ...,
+b_{n-1} of pairwise coprime elements of R: `LocalizedRing` inverts monic
+irreducible polynomials f_0 = x, f_1, ..., f_{n-1} of F_p[x], and
+`MultiLocalizedRing` inverts g(x_1), ..., g(x_d) in the Laurent ring
+F_p[x_1^{+-1}, ..., x_d^{+-1}].  Every element has a canonical form
 
-    num / (f_0^{e_0} * f_1^{e_1} * ... * f_{n-1}^{e_{n-1}}),   e_i >= 0,
+    num / (b_0^{e_0} * b_1^{e_1} * ... * b_{n-1}^{e_{n-1}}),   e_i >= 0,
 
-where f_i does not divide num whenever e_i > 0.  Canonical forms of equal
+where b_i does not divide num whenever e_i > 0.  Canonical forms of equal
 elements are identical, which makes the values hashable and lets element
 sets (visited sets of breadth-first searches) work off plain equality.
+
+One core (`_Localization`, `_LocalFraction`) does the arithmetic of both
+rings; each supplies only how to multiply a numerator by b_i^k and how to
+divide it by b_i exactly.  As the b_i are pairwise coprime and operands
+canonical, only these axes are trial-divided: in a sum, those with equal
+exponents (where they differ, b_i divides exactly one scaled numerator);
+in a product by prod b_i^{w_i}, those raised from 0; in a product of two
+fractions, all (g need not be irreducible).  `canonicalize`, the validated
+public entry, trial-divides every axis and is the tests' oracle.
 
 Polynomials are dense tuples of integer residues in ascending degree with
 no trailing zeros; the zero polynomial is the empty tuple and its degree
@@ -299,14 +311,12 @@ class Unit:
         return self.c == 1 and not any(self.exps)
 
     def as_fraction(self) -> "SFraction":
-        num = DensePoly.constant(self.ring.p, self.c)
-        den = [0] * len(self.exps)
+        ring = self.ring
+        num = DensePoly.constant(ring.p, self.c)
         for i, e in enumerate(self.exps):
             if e > 0:
-                num = num * self.ring.polys[i] ** e
-            elif e < 0:
-                den[i] = -e
-        return SFraction(self.ring, num, tuple(den), _canonical=True)
+                num = ring._scale(num, i, e)
+        return SFraction(ring, num, tuple(max(-e, 0) for e in self.exps), _canonical=True)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -332,116 +342,158 @@ class Unit:
         return f"Unit({self.render()})"
 
 
-class LocalizedRing:
-    """F_p[x][1/f_0, ..., 1/f_{n-1}] for a fixed basis of monic irreducible
-    polynomials with f_0 = x; fractions carry denominator exponent vectors
-    over this basis.  `pivot` is the distinguished dividing polynomial used
-    by exact division and membership tests (x - 1 unless overridden)."""
-
-    def __init__(self, p: int, polys, pivot: DensePoly | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.polys = tuple(polys)
-        self.n = len(self.polys)
-        self.pivot = pivot if pivot is not None else DensePoly(p, (-1, 1))
-        self._pivot_pows = {0: DensePoly.one(p), 1: self.pivot}
-        self.zero = SFraction(self, DensePoly.zero(p), (0,) * self.n, _canonical=True)
-        self.one = SFraction(self, DensePoly.one(p), (0,) * self.n, _canonical=True)
-
-    def pivot_pow(self, k: int) -> DensePoly:
-        if k not in self._pivot_pows:
-            self._pivot_pows[k] = self.pivot_pow(k - 1) * self.pivot
-        return self._pivot_pows[k]
-
-    def from_poly(self, num: DensePoly) -> "SFraction":
-        return SFraction(self, num, (0,) * self.n, _canonical=True)
-
-    def from_coeffs(self, coeffs) -> "SFraction":
-        return self.from_poly(DensePoly(self.p, coeffs))
-
-    def constant(self, c: int) -> "SFraction":
-        return self.from_poly(DensePoly.constant(self.p, c))
-
-    def fraction(self, num: DensePoly, den_exps) -> "SFraction":
-        return canonicalize(self, num, den_exps)
-
-    def unit(self, c: int, exps=None) -> Unit:
-        return Unit(self, c, exps if exps is not None else (0,) * self.n)
-
-    def unit_one(self) -> Unit:
-        return Unit(self, 1, (0,) * self.n)
+# ---------------------------------------------------------------------------
+# the shared localization core
 
 
-class SFraction:
-    """A canonical fraction num / prod f_i^{e_i} in a localized ring."""
+class _LocalFraction:
+    """A canonical fraction num / prod b_i^{e_i}: b_i never divides num
+    while e_i > 0, so equal values have equal num, den and hash."""
 
     __slots__ = ("ring", "num", "den", "_hash")
 
-    def __init__(self, ring: LocalizedRing, num: DensePoly, den, _canonical: bool = False):
+    def __init__(self, ring: "_Localization", num, den, _canonical: bool = False):
         if not _canonical:
-            raise ValueError("use LocalizedRing.fraction / canonicalize")
+            raise ValueError("use the ring's fraction() or canonicalize()")
         self.ring = ring
         self.num = num
         self.den = tuple(den)
-        self._hash = hash((self.num.coeffs, self.den))
+        self._hash = hash((num, self.den))
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _join(self, other):
+        """Both numerators over the common denominator, that denominator, and
+        the axes where the sum of the numerators may be divisible by b_i."""
+        scale = self.ring._scale
+        n1, n2 = self.num, other.num
+        den, same = [], []
+        for i, (a, b) in enumerate(zip(self.den, other.den)):
+            if a < b:
+                n1 = scale(n1, i, b - a)
+                den.append(b)
+            elif b < a:
+                n2 = scale(n2, i, a - b)
+                den.append(a)
+            else:
+                den.append(a)
+                same.append(i)
+        return n1, n2, den, same
+
+    def __add__(self, other):
+        n1, n2, den, same = self._join(other)
+        return self.ring._cancel(n1 + n2, den, same)
+
+    def __sub__(self, other):
+        n1, n2, den, same = self._join(other)
+        return self.ring._cancel(n1 - n2, den, same)
+
+    def __neg__(self):
+        return self.__class__(self.ring, -self.num, self.den, _canonical=True)
+
+    def __mul__(self, other):
+        den = [a + b for a, b in zip(self.den, other.den)]
+        return self.ring._cancel(self.num * other.num, den, range(len(den)))
+
+    def _mul_basis(self, num, exps):
+        """num / den * prod b_i^{w_i}, where num is self.num times a nonzero
+        scalar.  Only an exponent raised from 0 lets b_i divide num."""
+        ring = self.ring
+        den = list(self.den)
+        raised = []
+        for i, w in enumerate(exps):
+            if not w:
+                continue
+            e = den[i] - w
+            if e < 0:
+                num = ring._scale(num, i, -e)
+                e = 0
+            elif not den[i]:
+                raised.append(i)
+            den[i] = e
+        return ring._cancel(num, den, raised)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self.num == other.num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _Localization:
+    """S^{-1}R for S generated by a basis b_0, ..., b_{n-1} of pairwise
+    coprime elements of R.  A subclass supplies the fraction type and how to
+    multiply a numerator by b_i^k (`_scale`) or divide it by b_i exactly
+    (`_divide`, None when b_i does not divide)."""
+
+    fraction_type: type
+
+    def __init__(self, p: int, n: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.n = n
+        self._pows: dict = {}
+
+    def _pow(self, f: DensePoly, k: int) -> DensePoly:
+        """f^k for a basis polynomial, the pivot or g, memoized per ring."""
+        key = (f, k)
+        out = self._pows.get(key)
+        if out is None:
+            out = self._pows[key] = f ** k
+        return out
+
+    def fraction(self, num, den_exps):
+        return canonicalize(self, num, den_exps)
+
+    def _cancel(self, num, den: list, axes):
+        """The fraction num / prod b_i^{den[i]}, canonical if b_i can divide
+        num only on the given axes; den is consumed."""
+        if num.is_zero:
+            return self.zero
+        divide = self._divide
+        for i in axes:
+            while den[i] > 0:
+                q = divide(num, i)
+                if q is None:
+                    break
+                num = q
+                den[i] -= 1
+        return self.fraction_type(self, num, den, _canonical=True)
+
+
+def canonicalize(ring: _Localization, num, den_exps) -> _LocalFraction:
+    """Cancel basis factors so that b_i never divides num while e_i > 0."""
+    den = list(den_exps)
+    if len(den) != ring.n:
+        raise ValueError("denominator exponent vector length mismatch")
+    if any(e < 0 for e in den):
+        raise ValueError("denominator exponents must be nonnegative")
+    return ring._cancel(num, den, range(ring.n))
+
+
+# ---------------------------------------------------------------------------
+# F_p[x] localized at f_0 = x, f_1, ..., f_{n-1}
+
+
+class SFraction(_LocalFraction):
+    """A canonical fraction num / prod f_i^{e_i} in a localized ring."""
+
+    __slots__ = ()
+
     @property
     def is_poly(self) -> bool:
         return not any(self.den)
 
-    def _join(self, other: "SFraction"):
-        """Common-denominator data: (num1', num2', den) without cancelling."""
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        n1, n2 = self.num, other.num
-        for i, (d, a, b) in enumerate(zip(den, self.den, other.den)):
-            if d > a:
-                n1 = n1 * self.ring.polys[i] ** (d - a)
-            if d > b:
-                n2 = n2 * self.ring.polys[i] ** (d - b)
-        return n1, n2, den
-
-    def __add__(self, other: "SFraction") -> "SFraction":
-        n1, n2, den = self._join(other)
-        return canonicalize(self.ring, n1 + n2, den)
-
-    def __sub__(self, other: "SFraction") -> "SFraction":
-        n1, n2, den = self._join(other)
-        return canonicalize(self.ring, n1 - n2, den)
-
-    def __neg__(self) -> "SFraction":
-        return SFraction(self.ring, -self.num, self.den, _canonical=True)
-
-    def __mul__(self, other: "SFraction") -> "SFraction":
-        den = tuple(a + b for a, b in zip(self.den, other.den))
-        return canonicalize(self.ring, self.num * other.num, den)
-
     def mul_unit(self, u: Unit) -> "SFraction":
         """Multiply by a unit c * prod f_i^{w_i}."""
-        num = self.num.mul_scalar(u.c)
-        if num.is_zero:
-            return self.ring.zero
-        den = list(self.den)
-        dirty = False
-        for i, w in enumerate(u.exps):
-            if not w:
-                continue
-            net = den[i] - w
-            if net >= 0:
-                den[i] = net
-                # only a raised exponent (w < 0) can break canonicality
-                dirty = dirty or (w < 0 and net > 0)
-            else:
-                den[i] = 0
-                num = num * self.ring.polys[i] ** (-net)
-        if dirty:
-            # a raised denominator exponent may now cancel into the numerator
-            return canonicalize(self.ring, num, den)
-        return SFraction(self.ring, num, tuple(den), _canonical=True)
+        return self._mul_basis(self.num.mul_scalar(u.c), u.exps)
 
     def inverse_unit(self) -> "SFraction":
         """Inverse, defined only when the value is a unit of the ring."""
@@ -453,14 +505,10 @@ class SFraction:
             raise NotInvertible("zero is not a unit")
         num = self.num
         w = [-e for e in self.den]
-        for i, f in enumerate(self.ring.polys):
-            while num.degree >= f.degree:
-                q, r = divmod(num, f)
-                if r.is_zero:
-                    num = q
-                    w[i] += 1
-                else:
-                    break
+        for i in range(self.ring.n):
+            while (q := self.ring._divide(num, i)) is not None:
+                num = q
+                w[i] += 1
         if num.degree != 0:
             raise NotInvertible("not a unit of the localized ring")
         return Unit(self.ring, num.coeffs[0], w)
@@ -476,16 +524,6 @@ class SFraction:
         if den.degree == 0 and den.coeffs[0] == 1:
             return num
         return num * den.invmod(modulus) % modulus
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SFraction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def from_json(ring: LocalizedRing, data) -> "SFraction":
@@ -508,42 +546,58 @@ class SFraction:
         return f"SFraction({self.render()})"
 
 
-def canonicalize(ring: LocalizedRing, num: DensePoly, den_exps) -> SFraction:
-    """Cancel basis factors so that f_i never divides num while e_i > 0."""
-    den = list(den_exps)
-    if len(den) != ring.n:
-        raise ValueError("denominator exponent vector length mismatch")
-    if any(e < 0 for e in den):
-        raise ValueError("denominator exponents must be nonnegative")
-    if num.is_zero:
-        return ring.zero
-    for i, f in enumerate(ring.polys):
-        while den[i] > 0:
-            q, r = divmod(num, f)
-            if r.is_zero:
-                num = q
-                den[i] -= 1
-            else:
-                break
-    return SFraction(ring, num, tuple(den), _canonical=True)
+class LocalizedRing(_Localization):
+    """F_p[x][1/f_0, ..., 1/f_{n-1}] for a fixed basis of monic irreducible
+    polynomials with f_0 = x; fractions carry denominator exponent vectors
+    over this basis.  The pivot x - 1 is the dividing polynomial of exact
+    division and membership tests."""
+
+    fraction_type = SFraction
+
+    def __init__(self, p: int, polys):
+        self.polys = tuple(polys)
+        super().__init__(p, len(self.polys))
+        self.pivot = DensePoly(p, (-1, 1))
+        self.zero = self.from_poly(DensePoly.zero(p))
+        self.one = self.from_poly(DensePoly.one(p))
+
+    def pivot_pow(self, k: int) -> DensePoly:
+        return self._pow(self.pivot, k)
+
+    def _scale(self, num: DensePoly, i: int, k: int) -> DensePoly:
+        return num * self._pow(self.polys[i], k)
+
+    def _divide(self, num: DensePoly, i: int):
+        q, r = divmod(num, self.polys[i])
+        return q if r.is_zero else None
+
+    def from_poly(self, num: DensePoly) -> SFraction:
+        return SFraction(self, num, (0,) * self.n, _canonical=True)
+
+    def from_coeffs(self, coeffs) -> SFraction:
+        return self.from_poly(DensePoly(self.p, coeffs))
+
+    def constant(self, c: int) -> SFraction:
+        return self.from_poly(DensePoly.constant(self.p, c))
+
+    def unit(self, c: int, exps=None) -> Unit:
+        return Unit(self, c, exps if exps is not None else (0,) * self.n)
 
 
-def divide_exact(a: SFraction, k: int, divisor: DensePoly | None = None) -> SFraction:
-    """Divide by divisor^k (pivot by default), requiring exactness.
+def divide_exact(a: SFraction, k: int) -> SFraction:
+    """Divide by pivot^k, requiring exactness.
 
-    Raises NotDivisible when the divisor power does not divide the
-    numerator; the divisor is assumed coprime to the denominator basis.
+    Raises NotDivisible when the pivot power does not divide the numerator;
+    the pivot is coprime to the denominator basis.
     """
     if k < 0:
         raise ValueError("negative exactness exponent")
     if k == 0 or a.is_zero:
         return a
-    ring = a.ring
-    d = ring.pivot_pow(k) if divisor is None else divisor ** k
-    q, r = divmod(a.num, d)
+    q, r = divmod(a.num, a.ring.pivot_pow(k))
     if not r.is_zero:
         raise NotDivisible("numerator is not divisible by the requested power")
-    return SFraction(ring, q, a.den, _canonical=True)
+    return SFraction(a.ring, q, a.den, _canonical=True)
 
 
 def eval_at_one(a: SFraction) -> int:
@@ -728,28 +782,9 @@ class MultiLaurent:
                     del out[e]
         return MultiLaurent._raw(self.p, self.d, out)
 
-    def mul_scalar(self, c: int) -> "MultiLaurent":
-        c %= self.p
-        if c == 0:
-            return MultiLaurent.zero(self.p, self.d)
-        p = self.p
-        return MultiLaurent._raw(
-            self.p, self.d, {e: v * c % p for e, v in self.terms.items()}
-        )
-
-    def mul_monomial(self, exps, c: int = 1) -> "MultiLaurent":
+    def mul_monomial(self, exps) -> "MultiLaurent":
         exps = tuple(exps)
-        p = self.p
-        if c % p == 1:
-            terms = {
-                tuple(a + b for a, b in zip(e, exps)): v for e, v in self.terms.items()
-            }
-        else:
-            terms = {
-                tuple(a + b for a, b in zip(e, exps)): v * c % p
-                for e, v in self.terms.items()
-                if v * c % p
-            }
+        terms = {tuple(a + b for a, b in zip(e, exps)): v for e, v in self.terms.items()}
         return MultiLaurent._raw(self.p, self.d, terms)
 
     def mul_univariate(self, g: DensePoly, axis: int) -> "MultiLaurent":
@@ -868,113 +903,21 @@ class MultiLaurent:
         return f"MultiLaurent({self.render()})"
 
 
-class MultiLocalizedRing:
-    """Laurent polynomials in d variables with the powers of one polynomial
-    g inverted separately in each variable: denominators prod g(x_i)^{z_i}."""
-
-    def __init__(self, p: int, d: int, g: DensePoly):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if g.is_zero:
-            raise ValueError("localizing polynomial must be nonzero")
-        self.p = p
-        self.d = d
-        self.g = g
-        self.g_at_one = g.eval(1)
-        self.zero = MultiSFraction(self, MultiLaurent.zero(p, d), (0,) * d, _canonical=True)
-        self.one = MultiSFraction(self, MultiLaurent.one(p, d), (0,) * d, _canonical=True)
-        self._gpows = {0: DensePoly.one(p), 1: g}
-
-    def g_pow(self, k: int) -> DensePoly:
-        if k not in self._gpows:
-            self._gpows[k] = self.g_pow(k - 1) * self.g
-        return self._gpows[k]
-
-    def fraction(self, num: MultiLaurent, den_exps) -> "MultiSFraction":
-        den = list(den_exps)
-        if len(den) != self.d:
-            raise ValueError("denominator exponent vector length mismatch")
-        if any(z < 0 for z in den):
-            raise ValueError("denominator exponents must be nonnegative")
-        if num.is_zero:
-            return self.zero
-        for i in range(self.d):
-            while den[i] > 0:
-                q = num.divexact_univariate(self.g, i)
-                if q is None:
-                    break
-                num = q
-                den[i] -= 1
-        return MultiSFraction(self, num, tuple(den), _canonical=True)
-
-    def from_laurent(self, num: MultiLaurent) -> "MultiSFraction":
-        return MultiSFraction(self, num, (0,) * self.d, _canonical=True)
-
-
-class MultiSFraction:
+class MultiSFraction(_LocalFraction):
     """num / prod g(x_i)^{z_i} in canonical form (g(x_i) never divides num
     while z_i > 0)."""
 
-    __slots__ = ("ring", "num", "den", "_hash")
+    __slots__ = ()
 
-    def __init__(self, ring: MultiLocalizedRing, num: MultiLaurent, den, _canonical=False):
-        if not _canonical:
-            raise ValueError("use MultiLocalizedRing.fraction")
-        self.ring = ring
-        self.num = num
-        self.den = tuple(den)
-        self._hash = hash((self.num, self.den))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _join(self, other: "MultiSFraction"):
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        n1, n2 = self.num, other.num
-        for i, (d, a, b) in enumerate(zip(den, self.den, other.den)):
-            if d > a:
-                n1 = n1.mul_univariate(self.ring.g_pow(d - a), i)
-            if d > b:
-                n2 = n2.mul_univariate(self.ring.g_pow(d - b), i)
-        return n1, n2, den
-
-    def __add__(self, other: "MultiSFraction") -> "MultiSFraction":
-        n1, n2, den = self._join(other)
-        return self.ring.fraction(n1 + n2, den)
-
-    def __sub__(self, other: "MultiSFraction") -> "MultiSFraction":
-        n1, n2, den = self._join(other)
-        return self.ring.fraction(n1 - n2, den)
-
-    def __neg__(self) -> "MultiSFraction":
-        return MultiSFraction(self.ring, -self.num, self.den, _canonical=True)
-
-    def __mul__(self, other: "MultiSFraction") -> "MultiSFraction":
-        den = tuple(a + b for a, b in zip(self.den, other.den))
-        return self.ring.fraction(self.num * other.num, den)
-
-    def mul_monomial(self, exps, c: int = 1) -> "MultiSFraction":
-        return MultiSFraction(
-            self.ring, self.num.mul_monomial(exps, c), self.den, _canonical=True
-        )
+    def mul_monomial(self, exps) -> "MultiSFraction":
+        """Multiply by a monomial, a unit of the Laurent ring."""
+        return MultiSFraction(self.ring, self.num.mul_monomial(exps), self.den, _canonical=True)
 
     def mul_g_power(self, axis: int, k: int) -> "MultiSFraction":
         """Multiply by g(x_axis)^k for any integer k."""
-        if k == 0 or self.is_zero:
-            return self
-        if k > 0:
-            num = self.num
-            den = list(self.den)
-            take = min(k, den[axis])
-            den[axis] -= take
-            k -= take
-            if k:
-                num = num.mul_univariate(self.ring.g_pow(k), axis)
-            return self.ring.fraction(num, den)
-        den = list(self.den)
-        den[axis] += -k
-        return self.ring.fraction(self.num, den)
+        exps = [0] * self.ring.n
+        exps[axis] = k
+        return self._mul_basis(self.num, exps)
 
     def eval_at_ones(self) -> int:
         """Evaluation at all-ones; zero exactly on the augmentation kernel."""
@@ -986,16 +929,6 @@ class MultiSFraction:
         for z in self.den:
             acc = acc * pow(inv, z, p) % p
         return acc
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiSFraction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def render(self, names: list[str] | None = None) -> str:
         names = names or [f"x{i+1}" for i in range(self.ring.d)]
@@ -1010,3 +943,32 @@ class MultiSFraction:
 
     def __repr__(self) -> str:
         return f"MultiSFraction({self.render()})"
+
+
+class MultiLocalizedRing(_Localization):
+    """Laurent polynomials in d variables with the powers of one polynomial
+    g inverted separately in each variable: denominators prod g(x_i)^{z_i}."""
+
+    fraction_type = MultiSFraction
+
+    def __init__(self, p: int, d: int, g: DensePoly):
+        super().__init__(p, d)
+        if g.is_zero:
+            raise ValueError("localizing polynomial must be nonzero")
+        self.d = d
+        self.g = g
+        self.g_at_one = g.eval(1)
+        self.zero = self.from_laurent(MultiLaurent.zero(p, d))
+        self.one = self.from_laurent(MultiLaurent.one(p, d))
+
+    def g_pow(self, k: int) -> DensePoly:
+        return self._pow(self.g, k)
+
+    def _scale(self, num: MultiLaurent, i: int, k: int) -> MultiLaurent:
+        return num.mul_univariate(self._pow(self.g, k), i)
+
+    def _divide(self, num: MultiLaurent, i: int):
+        return num.divexact_univariate(self.g, i)
+
+    def from_laurent(self, num: MultiLaurent) -> MultiSFraction:
+        return MultiSFraction(self, num, (0,) * self.d, _canonical=True)

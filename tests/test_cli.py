@@ -129,8 +129,16 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({**WREATH_F2, "g": 5}, EXIT_INVALID),
         (b'{"family": "\xff"}', EXIT_PARSE),
         (None, EXIT_PARSE),
+        ({"family": "wreath", "p": 2, "d": True}, EXIT_INVALID),
+        ({**WREATH_F2, "g": [1, 1, 1], "localized": "false"}, EXIT_INVALID),
+        ({**LAMP_F2, "n": True, "polys": [[0, 1]]}, EXIT_INVALID),
+        ({**LAMP_F2, "p": 10**18 + 3, "polys": [[0, 1]]}, EXIT_INVALID),
+        ({"family": "wreath", "p": 4093, "d": 1}, EXIT_INVALID),
     ],
-    ids=["string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory"],
+    ids=[
+        "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
+        "bool-d", "string-localized", "bool-n", "huge-p", "huge-degree",
+    ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
     path = tmp_path / "config.json"
@@ -148,6 +156,27 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
 
 
 # -- decompose -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        '{"d": [{"c": 0}, {"c": 1}]}',
+        '{"d": "x"}',
+        '{"d": [{"c": 1}]}',
+        '{"d": [7, {}]}',
+        '{"d": [{"c": true}, {}]}',
+        '{"d": [{"c": 1, "exps": ["1", 0]}, {}]}',
+        '{"d": [{"c": 1, "exps": 3}, {}]}',
+    ],
+    ids=["non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps"],
+)
+def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
+    code, out, err = run(capsys, "decompose", str(CONFIGS / "borel_m2_p2.json"), literal)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_decompose_u_p3(capsys):

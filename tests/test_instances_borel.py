@@ -30,7 +30,7 @@ def test_constructor_validates():
     with pytest.raises(InstanceConfigError):
         BorelInstance(2, 1, [DensePoly.x(2)])
     with pytest.raises(InstanceConfigError):
-        BorelInstance(3, 4, [DensePoly.x(3)], max_degree=100)  # 3^10 cosets
+        load_config({"family": "borel", "p": 3, "m": 4, "polys": [[0, 1]]})  # 3^10 cosets
 
 
 def test_load_config():

@@ -285,6 +285,7 @@ def _ring_law_triples(sampler, add, mul, zero, count, rng):
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, b) == mul(b, a)
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, zero) == a
 
 
 def test_ring_laws_dense_poly():
@@ -334,16 +335,18 @@ def test_ring_laws_multilaurent():
 
 def test_ring_laws_multisfraction():
     rng = random.Random(5)
-    mring = MultiLocalizedRing(2, 2, P(2, 1, 1, 1))
+    # g = x^2+x+1 and its square x^4+x^2+1, which is reducible
+    for g in (P(2, 1, 1, 1), P(2, 1, 0, 1, 0, 1)):
+        mring = MultiLocalizedRing(2, 2, g)
 
-    def sampler(r):
-        return mring.fraction(
-            random_laurent(r, 2, 2), tuple(r.randrange(2) for _ in range(2))
+        def sampler(r):
+            return mring.fraction(
+                random_laurent(r, 2, 2), tuple(r.randrange(2) for _ in range(2))
+            )
+
+        _ring_law_triples(
+            sampler, lambda a, b: a + b, lambda a, b: a * b, mring.zero, 1000, rng
         )
-
-    _ring_law_triples(
-        sampler, lambda a, b: a + b, lambda a, b: a * b, mring.zero, 1000, rng
-    )
 
 
 # -- multivariate exact division ----------------------------------------------
