@@ -115,10 +115,13 @@ class Instance(ABC):
     A family must provide the abstract members: `degree`,
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
     `endo_f`, `generators` and `render`.  It may override `coset_index`
-    with a closed form (`coset_index_exhaustive` stays the oracle),
-    `random_element` with a sampler of its own (the default is a random
-    generator word), and `describe`.  The verify suites also need
-    `random_h_element`, a random element of H.
+    with a closed form (`coset_index_exhaustive` stays the oracle);
+    `split`, which `decompose` calls once per letter for the coset index j
+    of g and the cofactor g * t_j^{-1} (the default multiplies by the
+    stored t_j^{-1}; a family whose coset search yields the cofactor
+    returns it directly); `random_element` with a sampler of its own (the
+    default is a random generator word); and `describe`.  The verify
+    suites also need `random_h_element`, a random element of H.
     """
 
     family: str = "abstract"
@@ -189,6 +192,11 @@ class Instance(ABC):
     def coset_index(self, g) -> int:
         return self.coset_index_exhaustive(g)
 
+    def split(self, g) -> tuple:
+        """(j, g * t_j^{-1}) for the coset H t_j holding g."""
+        j = self.coset_index(g)
+        return j, self.multiply(g, self.transversal_inverses[j])
+
     def random_word(self, rng, length: int):
         """A product of `length` factors, each drawn by rng.choice from the
         distinct non-identity generators in `generators()` order and then
@@ -235,9 +243,7 @@ def decompose(inst: Instance, g) -> WreathDecomp:
     images = []
     states = []
     for t in inst.transversal:
-        c = inst.multiply(t, g)
-        j = inst.coset_index(c)
-        cof = inst.multiply(c, inst.transversal_inverses[j])
+        j, cof = inst.split(inst.multiply(t, g))
         if not inst.h_member(cof):
             raise ContractViolation(
                 f"cofactor at letter {len(images)} fails subgroup membership"

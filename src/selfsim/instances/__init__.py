@@ -27,7 +27,8 @@ class InstanceConfigError(ValueError):
 
 
 # The largest degree (transversal size) an instance may have.  Every
-# family's degree is at least p, so p is checked against it first.
+# family's degree is at least p, so p is checked against it first; it also
+# bounds the wreath rank d, the length of every element's exponent vectors.
 MAX_DEGREE = 4096
 
 
@@ -62,10 +63,10 @@ def load_config(source):
         raise InstanceConfigError(f"p = {p} exceeds the degree bound {MAX_DEGREE}")
 
     def poly(raw, key):
-        # JSON integers only: no strings, floats or booleans
-        if not isinstance(raw, list) or not all(type(c) is int for c in raw):
-            raise InstanceConfigError(f"coefficients in config key '{key}' must be a list of integers")
-        return DensePoly(p, raw)
+        try:
+            return DensePoly.from_json(p, raw)
+        except ValueError:
+            raise InstanceConfigError(f"coefficients in config key '{key}' must be a list of integers") from None
 
     def polys(key="polys"):
         raw = data.get(key)
@@ -76,7 +77,12 @@ def load_config(source):
     if family == "borel":
         from .borel import BorelInstance
 
-        inst = BorelInstance(p, integer("m", "borel config requires integer 'm'"), polys())
+        m = integer("m", "borel config requires integer 'm'")
+        # degree p^l with l = (m^3 - m) / 6; p >= 2 puts any l > 12 past the bound
+        l = (m**3 - m) // 6
+        if l > 12 or p**max(l, 0) > MAX_DEGREE:
+            raise InstanceConfigError(f"degree {p}^{l} exceeds the enumeration bound {MAX_DEGREE}")
+        inst = BorelInstance(p, m, polys())
     elif family == "affine":
         from .affine import AffineInstance
 
@@ -92,6 +98,8 @@ def load_config(source):
         from .wreath import WreathInstance
 
         d = integer("d", "wreath config requires integer 'd'")
+        if d > MAX_DEGREE:
+            raise InstanceConfigError(f"rank d = {d} exceeds the bound {MAX_DEGREE}")
         g = data.get("g")
         gpoly = poly(g, "g") if g is not None else None
         localized = data.get("localized", False)

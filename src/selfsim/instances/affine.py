@@ -35,12 +35,14 @@ class AffineElem:
     def __init__(self, v, b: PolyMat, _checked: bool = False):
         self.v = tuple(v)
         self.b = b
-        self._hash = hash((self.v, b))
+        self._hash = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AffineElem) and self.v == other.v and self.b == other.b
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.v, self.b))
         return self._hash
 
     def __repr__(self) -> str:
@@ -86,7 +88,7 @@ class AffineInstance(Instance):
 
     def from_literal(self, data: dict) -> AffineElem:
         """Element from {"v": [[coeffs], ...], "b": [[[coeffs], ...], ...]}."""
-        v = [DensePoly(self.p, c) for c in data.get("v", [[ ]] * self.n)]
+        v = [DensePoly.from_json(self.p, c) for c in data.get("v", [[]] * self.n)]
         b = PolyMat.from_json(self.p, data["b"]) if "b" in data else PolyMat.identity(self.p, self.n)
         return self.make_element(v, b)
 

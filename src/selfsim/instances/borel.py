@@ -16,7 +16,9 @@ Locating the coset of an element never needs the full p^l search: writing
 the required cofactor condition superdiagonal by superdiagonal gives, for
 each diagonal distance delta, a congruence modulo (x-1)^delta whose unique
 solution of degree < delta is the corresponding entry of t^{-1}.  The
-exhaustive search survives as `coset_index_exhaustive`, the test oracle.
+cofactor g * t^{-1} that the decomposition needs is read off the sums of
+this reduction, so no second product is formed (`split`).  The exhaustive
+search survives as `coset_index_exhaustive`, the test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from functools import cached_property
 
 from ..engine import ContractViolation, Instance, decompose, states_within
-from ..matrix import TriMat, tri_inverse
+from ..matrix import TriMat, sum_of_products, tri_inverse
 from ..ring import (
     DensePoly,
     LocalizedRing,
@@ -47,7 +49,7 @@ class BorelElem:
             raise ValueError("use BorelInstance.make_element")
         self.n_part = n_part
         self.d_part = d_part
-        self._hash = hash((n_part, d_part))
+        self._hash = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -57,6 +59,8 @@ class BorelElem:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.n_part, self.d_part))
         return self._hash
 
     def __repr__(self) -> str:
@@ -164,36 +168,30 @@ class BorelInstance(Instance):
 
     def multiply(self, a: BorelElem, b: BorelElem) -> BorelElem:
         # (Na Da)(Nb Db) = (Na * (Da Nb Da^{-1})) * (Da Db)
-        m = self.m
         da = a.d_part
-        inv = [u.inv() for u in da]
-        conj_rows = []
-        for i in range(m):
-            row = list(b.n_part.rows[i])
-            for j in range(i + 1, m):
-                e = row[j]
-                if not e.is_zero:
-                    row[j] = e.mul_unit(da[i] * inv[j])
-            conj_rows.append(row)
-        n_part = a.n_part * TriMat(self.ring, conj_rows)
-        d_part = tuple(x * y for x, y in zip(da, b.d_part))
-        return self.make_element(n_part, d_part)
+        n_part = a.n_part * self._conj(b.n_part, da, [u.inv() for u in da])
+        return self.make_element(n_part, [x * y for x, y in zip(da, b.d_part)])
 
     def invert(self, a: BorelElem) -> BorelElem:
         # (N D)^{-1} = (D^{-1} N^{-1} D) * D^{-1}
-        m = self.m
-        ninv = tri_inverse(a.n_part)
-        da = a.d_part
-        inv = [u.inv() for u in da]
-        rows = []
-        for i in range(m):
-            row = list(ninv.rows[i])
-            for j in range(i + 1, m):
-                e = row[j]
-                if not e.is_zero:
-                    row[j] = e.mul_unit(inv[i] * da[j])
-            rows.append(row)
-        return self.make_element(TriMat(self.ring, rows), tuple(inv))
+        inv = [u.inv() for u in a.d_part]
+        return self.make_element(self._conj(tri_inverse(a.n_part), inv, a.d_part), inv)
+
+    def _conj(self, n: TriMat, d, d_inv) -> TriMat:
+        """D N D^{-1} for D = diag(d), d_inv the inverses of d: entry (i, j)
+        times d_i d_j^{-1}."""
+        if all(u.is_one for u in d):
+            return n
+        return self._map_upper(n, lambda e, i, j: e.mul_unit(d[i] * d_inv[j]))
+
+    def _map_upper(self, n: TriMat, fn) -> TriMat:
+        """n with each nonzero entry e above the diagonal replaced by fn(e, i, j)."""
+        rows = [list(row) for row in n.rows]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, self.m):
+                if not row[j].is_zero:
+                    row[j] = fn(row[j], i, j)
+        return TriMat._raw(self.ring, rows)
 
     def h_member(self, g: BorelElem) -> bool:
         m = self.m
@@ -207,56 +205,43 @@ class BorelInstance(Instance):
         return True
 
     def endo_f(self, g: BorelElem) -> BorelElem:
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = list(g.n_part.rows[i])
-            for j in range(i + 1, m):
-                e = row[j]
-                if not e.is_zero:
-                    row[j] = divide_exact(e, j - i)
-            rows.append(row)
-        return self.make_element(TriMat(self.ring, rows), g.d_part)
+        n_part = self._map_upper(g.n_part, lambda e, i, j: divide_exact(e, j - i))
+        return self.make_element(n_part, g.d_part)
 
     def coset_index(self, g: BorelElem) -> int:
+        return self.split(g)[0]
+
+    def split(self, g: BorelElem) -> tuple:
         """Superdiagonal-by-superdiagonal reduction.
 
-        Solves d_i * s[i][l] = -(M[i][l] + sum_{i<r<l} M[i][r] s[r][l])
-        modulo (x-1)^(l-i) for the entries of s = t^{-1}, then looks s up
-        among the transversal inverses.
+        g * t^{-1} = N D S = D (A S) D^{-1} * D, with A = D^{-1} N D and S
+        the N-part of t^{-1}.  It lies in H exactly when every (A S)[i][l]
+        = s[i][l] + acc, acc = sum_{i<r<=l} A[i][r] s[r][l], vanishes
+        modulo (x-1)^(l-i): s[i][l] is the residue of -acc, of degree
+        < l-i.  S is looked up among the transversal inverses, and the
+        cofactor is read off the sums s[i][l] + acc.
         """
         m = self.m
         ring = self.ring
-        M = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                M[i][j] = self.matrix_entry(g, i, j)
-        d_inv = [u.inv() for u in g.d_part]
-        s = [[None] * m for _ in range(m)]
-        zero = ring.zero
+        d = g.d_part
+        d_inv = [u.inv() for u in d]
+        a = self._conj(g.n_part, d_inv, d).rows
+        s = [list(row) for row in self._identity.n_part.rows]
+        a_s = [list(row) for row in s]
         for delta in range(1, m):
             for i in range(m - delta):
                 l = i + delta
-                acc = M[i][l]
-                for r in range(i + 1, l):
-                    x = M[i][r]
-                    y = s[r][l]
-                    if not (x.is_zero or y.is_zero):
-                        acc = acc + x * y
-                rhs = (-acc).mul_unit(d_inv[i])
-                poly = rhs.reduce_mod_pivot_pow(delta)
-                s[i][l] = ring.from_poly(poly) if not poly.is_zero else zero
-        rows = [
-            [
-                s[i][j] if j > i else (ring.one if i == j else ring.zero)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        idx = self._index_of_inverse_n.get(TriMat(ring, rows))
+                # s[l][l] = 1 brings in the A[i][l] term
+                acc = sum_of_products(ring, ((a[i][r], s[r][l]) for r in range(i + 1, l + 1)))
+                poly = -acc.reduce_mod_pivot_pow(delta)
+                if not poly.is_zero:
+                    s[i][l] = ring.from_poly(poly)
+                    acc = acc + s[i][l]
+                a_s[i][l] = acc
+        idx = self._index_of_inverse_n.get(TriMat._raw(ring, s))
         if idx is None:
             raise ContractViolation("coset reduction left the transversal")
-        return idx
+        return idx, BorelElem(self._conj(TriMat._raw(ring, a_s), d, d_inv), d, _canonical=True)
 
     @cached_property
     def _index_of_inverse_n(self) -> dict:
@@ -313,15 +298,9 @@ class BorelInstance(Instance):
 
     def random_h_element(self, rng, length: int = 5) -> BorelElem:
         g = self.random_element(rng, length)
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = list(g.n_part.rows[i])
-            for j in range(i + 1, m):
-                if not row[j].is_zero:
-                    row[j] = row[j] * self.ring.from_poly(self.ring.pivot_pow(j - i))
-            rows.append(row)
-        return self.make_element(TriMat(self.ring, rows), g.d_part)
+        pivot = self.ring.pivot_pow
+        n_part = self._map_upper(g.n_part, lambda e, i, j: e * self.ring.from_poly(pivot(j - i)))
+        return self.make_element(n_part, g.d_part)
 
     # -- structure checks ----------------------------------------------------
 

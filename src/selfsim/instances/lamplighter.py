@@ -48,12 +48,14 @@ class LampElem:
     def __init__(self, r: SFraction, q):
         self.r = r
         self.q = tuple(q)
-        self._hash = hash((r, self.q))
+        self._hash = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LampElem) and self.r == other.r and self.q == other.q
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.r, self.q))
         return self._hash
 
     def __repr__(self) -> str:

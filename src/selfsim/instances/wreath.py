@@ -58,7 +58,7 @@ class WreathElem:
         self.r = r
         self.q = tuple(q)
         self.y = tuple(y) if y is not None else None
-        self._hash = hash((r, self.q, self.y))
+        self._hash = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -69,6 +69,8 @@ class WreathElem:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.r, self.q, self.y))
         return self._hash
 
     def __repr__(self) -> str:

@@ -46,7 +46,14 @@ class TriMat:
             for j in range(i):
                 if not row[j].is_zero:
                     raise ValueError("entry below the diagonal is nonzero")
-        self._hash = hash(self.rows)
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, ring: LocalizedRing, rows) -> "TriMat":
+        """Internal: rows square and zero below the diagonal by construction."""
+        out = cls.__new__(cls)
+        out.ring, out.rows, out.size, out._hash = ring, tuple(map(tuple, rows)), len(rows), None
+        return out
 
     @staticmethod
     def identity(ring: LocalizedRing, size: int) -> "TriMat":
@@ -62,24 +69,20 @@ class TriMat:
         if self.size != other.size:
             raise ValueError("size mismatch")
         n = self.size
-        zero = self.ring.zero
-        out = [[zero] * n for _ in range(n)]
+        ring = self.ring
+        out = [[ring.zero] * n for _ in range(n)]
         a, b = self.rows, other.rows
         for i in range(n):
             for j in range(i, n):
-                acc = zero
-                for k in range(i, j + 1):
-                    x = a[i][k]
-                    y = b[k][j]
-                    if not (x.is_zero or y.is_zero):
-                        acc = acc + x * y
-                out[i][j] = acc
-        return TriMat(self.ring, out)
+                out[i][j] = sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
+        return TriMat._raw(ring, out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TriMat) and self.rows == other.rows
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.rows)
         return self._hash
 
     def render(self) -> str:
@@ -89,6 +92,19 @@ class TriMat:
 
     def __repr__(self) -> str:
         return f"TriMat({self.render()})"
+
+
+def sum_of_products(ring: LocalizedRing, pairs):
+    """The sum of x * y over the pairs, skipping zero factors, not
+    multiplying by one and not adding the first term to zero."""
+    one = ring.one
+    acc = None
+    for x, y in pairs:
+        if x.is_zero or y.is_zero:
+            continue
+        term = y if x == one else x if y == one else x * y
+        acc = term if acc is None else acc + term
+    return ring.zero if acc is None else acc
 
 
 def tri_inverse(t: TriMat) -> TriMat:
@@ -115,14 +131,9 @@ def tri_inverse(t: TriMat) -> TriMat:
         b[i][i] = inv_diag[i]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            acc = zero
-            for k in range(i + 1, j + 1):
-                x = a[i][k]
-                y = b[k][j]
-                if not (x.is_zero or y.is_zero):
-                    acc = acc + x * y
-            b[i][j] = -(inv_diag[i] * acc)
-    return TriMat(ring, b)
+            acc = sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
+            b[i][j] = -(acc if inv_diag[i] == ring.one else inv_diag[i] * acc)
+    return TriMat._raw(ring, b)
 
 
 class PolyMat:
@@ -137,7 +148,7 @@ class PolyMat:
         for row in self.rows:
             if len(row) != self.size:
                 raise ValueError("non-square matrix")
-        self._hash = hash(self.rows)
+        self._hash = None
 
     @staticmethod
     def identity(p: int, size: int) -> "PolyMat":
@@ -203,11 +214,14 @@ class PolyMat:
         return isinstance(other, PolyMat) and self.p == other.p and self.rows == other.rows
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.rows)
         return self._hash
 
     @staticmethod
     def from_json(p: int, data) -> "PolyMat":
-        return PolyMat(p, [[DensePoly(p, e) for e in row] for row in data])
+        """From rows of coefficient lists, JSON integers only."""
+        return PolyMat(p, [[DensePoly.from_json(p, e) for e in row] for row in data])
 
     def render(self) -> str:
         return "[" + ",".join(

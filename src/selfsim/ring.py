@@ -26,7 +26,15 @@ no trailing zeros; the zero polynomial is the empty tuple and its degree
 is the sentinel -inf.  Multivariate Laurent polynomials are sparse maps
 from integer exponent vectors to nonzero residues.
 
-All values are immutable after construction and safe to share.
+Trusted construction: the public `DensePoly(p, coeffs)` and
+`MultiLaurent(p, d, terms)` reduce and validate whatever they are given;
+ring arithmetic never re-validates its own values.  A result that is
+reduced and trimmed by construction (a negation, a multiple by a nonzero
+scalar, a quotient) goes straight to `_raw`; the others (sums, products,
+remainders) pass through the one reduce-and-trim helper `_canon` first.
+
+All values are immutable after construction and safe to share; hashes are
+computed on first use.
 """
 
 from __future__ import annotations
@@ -62,11 +70,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return tuple(coeffs[:i])
+def _canon(p: int, coeffs) -> tuple[int, ...]:
+    """Integer coefficients reduced mod p, trailing zeros trimmed."""
+    out = [c % p for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 class DensePoly:
@@ -76,8 +85,24 @@ class DensePoly:
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
-        self.coeffs = _trim([int(c) % p for c in coeffs])
-        self._hash = hash((self.p, self.coeffs))
+        self.coeffs = _canon(p, [int(c) for c in coeffs])
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, p: int, coeffs: tuple) -> "DensePoly":
+        """Internal: coeffs already reduced mod p with no trailing zeros."""
+        out = cls.__new__(cls)
+        out.p = p
+        out.coeffs = coeffs
+        out._hash = None
+        return out
+
+    @staticmethod
+    def from_json(p: int, data) -> "DensePoly":
+        """A polynomial from a list of JSON integers (booleans rejected)."""
+        if not isinstance(data, list) or any(type(c) is not int for c in data):
+            raise ValueError("coefficients must be a list of integers")
+        return DensePoly(p, data)
 
     @staticmethod
     def zero(p: int) -> "DensePoly":
@@ -114,26 +139,17 @@ class DensePoly:
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return DensePoly(self.p, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return DensePoly._raw(self.p, _canon(self.p, [a + b for a, b in pairs]))
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b, p = self.coeffs, other.coeffs, self.p
-        out = [
-            ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-            for i in range(n)
-        ]
-        return DensePoly(p, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return DensePoly._raw(self.p, _canon(self.p, [a - b for a, b in pairs]))
 
     def __neg__(self) -> "DensePoly":
-        return DensePoly(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return DensePoly._raw(p, tuple([-c % p for c in self.coeffs]))
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         self._check(other)
@@ -145,15 +161,16 @@ class DensePoly:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return DensePoly(p, out)
+        return DensePoly._raw(p, _canon(p, out))
 
     def mul_scalar(self, c: int) -> "DensePoly":
-        c %= self.p
+        p = self.p
+        c %= p
         if c == 0:
-            return DensePoly.zero(self.p)
+            return DensePoly.zero(p)
         if c == 1:
             return self
-        return DensePoly(self.p, [cc * c for cc in self.coeffs])
+        return DensePoly._raw(p, tuple([cc * c % p for cc in self.coeffs]))
 
     def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         self._check(other)
@@ -175,7 +192,9 @@ class DensePoly:
                 base = i - db
                 for j in range(db + 1):
                     r[base + j] -= c * bc[j]
-        return DensePoly(p, q), DensePoly(p, r[:db])
+        # the top quotient coefficient is the dividend's lead over the
+        # divisor's, hence nonzero
+        return DensePoly._raw(p, tuple(q)), DensePoly._raw(p, _canon(p, r[:db]))
 
     def __mod__(self, other: "DensePoly") -> "DensePoly":
         return divmod(self, other)[1]
@@ -251,6 +270,8 @@ class DensePoly:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.p, self.coeffs))
         return self._hash
 
     def to_json(self) -> list[int]:
@@ -290,21 +311,22 @@ class Unit:
         self.exps = tuple(int(e) for e in exps)
         if len(self.exps) != len(ring.polys):
             raise ValueError("exponent vector length mismatch")
-        self._hash = hash((self.c, self.exps))
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, ring: "LocalizedRing", c: int, exps: tuple) -> "Unit":
+        """Internal: c a nonzero residue, exps a tuple of len(ring.polys) ints."""
+        out = cls.__new__(cls)
+        out.ring, out.c, out.exps, out._hash = ring, c, exps, None
+        return out
 
     def __mul__(self, other: "Unit") -> "Unit":
-        return Unit(
-            self.ring,
-            self.c * other.c,
-            tuple(a + b for a, b in zip(self.exps, other.exps)),
-        )
+        exps = tuple([a + b for a, b in zip(self.exps, other.exps)])
+        return Unit._raw(self.ring, self.c * other.c % self.ring.p, exps)
 
     def inv(self) -> "Unit":
-        return Unit(
-            self.ring,
-            pow(self.c, self.ring.p - 2, self.ring.p),
-            tuple(-e for e in self.exps),
-        )
+        p = self.ring.p
+        return Unit._raw(self.ring, pow(self.c, p - 2, p), tuple([-e for e in self.exps]))
 
     @property
     def is_one(self) -> bool:
@@ -326,6 +348,8 @@ class Unit:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.c, self.exps))
         return self._hash
 
     def render(self) -> str:
@@ -358,7 +382,7 @@ class _LocalFraction:
         self.ring = ring
         self.num = num
         self.den = tuple(den)
-        self._hash = hash((num, self.den))
+        self._hash = None
 
     @property
     def is_zero(self) -> bool:
@@ -423,6 +447,8 @@ class _LocalFraction:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
         return self._hash
 
 
@@ -493,6 +519,8 @@ class SFraction(_LocalFraction):
 
     def mul_unit(self, u: Unit) -> "SFraction":
         """Multiply by a unit c * prod f_i^{w_i}."""
+        if u.is_one:
+            return self
         return self._mul_basis(self.num.mul_scalar(u.c), u.exps)
 
     def inverse_unit(self) -> "SFraction":
@@ -517,19 +545,19 @@ class SFraction(_LocalFraction):
         """The residue mod pivot^k, as the unique representative of degree < k*deg(pivot)."""
         modulus = self.ring.pivot_pow(k)
         num = self.num % modulus
-        den = DensePoly.one(self.ring.p)
-        for f, e in zip(self.ring.polys, self.den):
-            if e:
-                den = den * pow(f % modulus, e) % modulus
-        if den.degree == 0 and den.coeffs[0] == 1:
-            return num
-        return num * den.invmod(modulus) % modulus
+        inv = self.ring._den_inverse(self.den, k)
+        return num if inv.coeffs == (1,) else num * inv % modulus
 
     @staticmethod
     def from_json(ring: LocalizedRing, data) -> "SFraction":
-        if isinstance(data, dict):
-            return ring.fraction(DensePoly(ring.p, data["num"]), data.get("den", (0,) * ring.n))
-        return ring.from_coeffs(data)
+        """From a coefficient list or {"num": [...], "den": [...]}, JSON
+        integers only."""
+        if not isinstance(data, dict):
+            return ring.from_poly(DensePoly.from_json(ring.p, data))
+        den = data.get("den", [0] * ring.n)
+        if not isinstance(den, list) or any(type(e) is not int for e in den):
+            raise ValueError("'den' must be a list of integers")
+        return ring.fraction(DensePoly.from_json(ring.p, data["num"]), den)
 
     def render(self) -> str:
         num = self.num.render()
@@ -560,9 +588,23 @@ class LocalizedRing(_Localization):
         self.pivot = DensePoly(p, (-1, 1))
         self.zero = self.from_poly(DensePoly.zero(p))
         self.one = self.from_poly(DensePoly.one(p))
+        self._den_inverses: dict = {}
 
     def pivot_pow(self, k: int) -> DensePoly:
         return self._pow(self.pivot, k)
+
+    def _den_inverse(self, den: tuple, k: int) -> DensePoly:
+        """(prod f_i^{e_i})^{-1} mod pivot^k, memoized per ring."""
+        key = (den, k)
+        out = self._den_inverses.get(key)
+        if out is None:
+            modulus = self.pivot_pow(k)
+            prod = DensePoly.one(self.p)
+            for f, e in zip(self.polys, den):
+                if e:
+                    prod = prod * pow(f % modulus, e) % modulus
+            out = self._den_inverses[key] = prod.invmod(modulus)
+        return out
 
     def _scale(self, num: DensePoly, i: int, k: int) -> DensePoly:
         return num * self._pow(self.polys[i], k)

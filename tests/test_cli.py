@@ -134,10 +134,13 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({**LAMP_F2, "n": True, "polys": [[0, 1]]}, EXIT_INVALID),
         ({**LAMP_F2, "p": 10**18 + 3, "polys": [[0, 1]]}, EXIT_INVALID),
         ({"family": "wreath", "p": 4093, "d": 1}, EXIT_INVALID),
+        ({"family": "borel", "p": 3, "m": 3000, "polys": [[0, 1]]}, EXIT_INVALID),
+        ({"family": "wreath", "p": 2, "d": 10**8}, EXIT_INVALID),
     ],
     ids=[
         "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
-        "bool-d", "string-localized", "bool-n", "huge-p", "huge-degree",
+        "bool-d", "string-localized", "bool-n", "huge-p", "huge-degree", "huge-borel-m",
+        "huge-wreath-d",
     ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
@@ -173,6 +176,31 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
     code, out, err = run(capsys, "decompose", str(CONFIGS / "borel_m2_p2.json"), literal)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, literal",
+    [
+        ("borel_m2_p2.json", '{"n": [[[], [1.7]], [[], []]]}'),
+        ("borel_m2_p2.json", '{"n": [[[], ["1"]], [[], []]]}'),
+        ("borel_m2_p2.json", '{"n": [[[], "11"], [[], []]]}'),
+        ("borel_m2_p2.json", '{"n": [[[], {"num": [true]}], [[], []]]}'),
+        ("borel_m2_p2.json", '{"n": [[[], {"num": [1], "den": [1.5, 0]}], [[], []]]}'),
+        ("affine_n3_p2.json", '{"v": [["1"], [], [1.5]]}'),
+        ("affine_n3_p2.json", '{"v": [[1], [], 7]}'),
+        ("affine_n3_p2.json", '{"b": [[[1], [], []], [[], [1], []], [[], [], [1.0]]]}'),
+    ],
+    ids=[
+        "borel-float", "borel-string", "borel-string-cell", "borel-bool-num", "borel-float-den",
+        "affine-string-float", "affine-scalar", "affine-float-matrix",
+    ],
+)
+def test_decompose_literal_non_integer_one_line_error(capsys, config, literal):
+    code, out, err = run(capsys, "decompose", str(CONFIGS / config), literal)
     assert code == EXIT_PARSE
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")

@@ -337,6 +337,44 @@ def test_random_nontrivial_elements_act_nontrivially():
     assert count > 50
 
 
+# -- split and hashing, every family ---------------------------------------------
+
+FAMILY_CONFIGS = [
+    "borel_m2_p2", "borel_m2_p3", "borel_m3_p2", "affine_n3_p2",
+    "lamplighter_p3_n2", "wreath_base_p2_d2", "wreath_localized_p2_d2",
+]
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_split_matches_exhaustive_search(config):
+    # the coset by searching the whole transversal, the cofactor by a plain
+    # product with the stored t_j^{-1}; the sample includes the t * g that
+    # decompose splits
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(23)
+    sample = [inst.random_element(rng, 6) for _ in range(10)]
+    sample += [inst.multiply(t, g) for t in inst.transversal[:4] for g in sample[:3]]
+    for g in sample:
+        j = inst.coset_index_exhaustive(g)
+        assert inst.split(g) == (j, inst.multiply(g, inst.transversal_inverses[j]))
+        assert inst.coset_index(g) == j
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_equal_elements_have_equal_hashes(config):
+    # hashes are computed on first use: equal values reached through
+    # different products agree, whichever is hashed first
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(29)
+    for _ in range(10):
+        g, h = inst.random_element(rng, 5), inst.random_element(rng, 5)
+        again = inst.multiply(inst.multiply(g, h), inst.invert(h))
+        other = inst.multiply(inst.invert(h), inst.multiply(h, g))
+        assert again == g == other
+        assert hash(again) == hash(g) == hash(other)
+        assert len({g, again, other}) == 1
+
+
 # -- random sampling -------------------------------------------------------------
 
 # (render of the sampled element, the next rng.randrange(10**6)) per config and

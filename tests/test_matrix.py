@@ -131,6 +131,33 @@ def test_tri_inverse_noninvertible_diagonal():
         tri_inverse(t)
 
 
+def test_trimat_mul_matches_naive_sum():
+    # the product skips zero factors and factors of one; against the plain
+    # sum over every k, on matrices whose diagonals mix one, other units
+    # and fractions, and whose entries include 1 and 0
+    rng = random.Random(19)
+    rg = ring(2)
+    x = rg.from_poly(DensePoly.x(2))
+    choices = [rg.zero, rg.one, x, rg.fraction(P(2, 1, 1), (1, 1)), rg.from_poly(P(2, 1, 0, 1))]
+    units = [rg.one, x, rg.fraction(P(2, 1), (2, 0))]
+    for _ in range(30):
+        m = rng.randrange(1, 5)
+        a, b = (
+            TriMat(rg, [
+                [rng.choice(units) if i == j else rng.choice(choices) if j > i else rg.zero
+                 for j in range(m)]
+                for i in range(m)
+            ])
+            for _ in range(2)
+        )
+        naive = [
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(m)), rg.zero) for j in range(m)]
+            for i in range(m)
+        ]
+        assert (a * b).rows == tuple(map(tuple, naive))
+        assert a * tri_inverse(a) == TriMat.identity(rg, m) == tri_inverse(a) * a
+
+
 def test_trimat_rejects_lower_entries():
     rg = ring()
     with pytest.raises(ValueError):

@@ -166,6 +166,68 @@ def test_mul_g_power_is_canonical_and_matches_product(p, data):
     assert r == a * factor
 
 
+# -- DensePoly: trusted construction -------------------------------------------
+
+
+def reduced_and_trimmed(r):
+    c = r.coeffs
+    return type(c) is tuple and all(0 <= x < r.p for x in c) and (not c or c[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_dense_poly_results_are_reduced_and_trimmed(p, data):
+    # results built without the public constructor's reduction equal what
+    # the public constructor makes of the naive integer coefficients
+    ints = st.lists(st.integers(-3 * p, 3 * p), max_size=6)
+    ca, cb = data.draw(ints), data.draw(ints)
+    # top coefficients that cancel, so results need trimming
+    if data.draw(st.booleans()):
+        cb = ca[:-1] + [x + p for x in ca[-1:]]
+    a, b = DensePoly(p, ca), DensePoly(p, cb)
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    n = max(len(ca), len(cb))
+    pa, pb = ca + [0] * (n - len(ca)), cb + [0] * (n - len(cb))
+    conv = [0] * (len(ca) + len(cb))
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            conv[i + j] += x * y
+    pairs = [
+        (a + b, [x + y for x, y in zip(pa, pb)]),
+        (a - b, [x - y for x, y in zip(pa, pb)]),
+        (-a, [-x for x in ca]),
+        (a * b, conv),
+        (a.mul_scalar(c), [x * c for x in ca]),
+    ]
+    for got, naive in pairs:
+        want = DensePoly(p, naive)
+        assert reduced_and_trimmed(got)
+        assert got == want and hash(got) == hash(want)
+        assert got == DensePoly(p, got.coeffs)
+    if not b.is_zero:
+        q, r = divmod(a, b)
+        assert reduced_and_trimmed(q) and reduced_and_trimmed(r)
+        assert q * b + r == a and r.degree < b.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_den_inverse_matches_invmod(p, data):
+    ring = RINGS["s", p]
+    k = data.draw(st.integers(1, 4))
+    modulus = ring.pivot_pow(k)
+    a = data.draw(fractions(ring))
+    den = DensePoly.one(p)
+    for f, e in zip(ring.polys, a.den):
+        den = den * f ** e
+    want = den.invmod(modulus)
+    assert ring._den_inverse(a.den, k) == want
+    assert ring._den_inverse(a.den, k) == want  # from the memo
+    # the residue the Borel reduction uses: r * den = num mod pivot^k
+    r = a.reduce_mod_pivot_pow(k)
+    assert r.degree < k and (r * den - a.num) % modulus == DensePoly.zero(p)
+
+
 # -- the cases the skipped trial divisions must not miss ---------------------
 
 
