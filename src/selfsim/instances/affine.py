@@ -32,7 +32,7 @@ class AffineElem:
 
     __slots__ = ("v", "b", "_hash")
 
-    def __init__(self, v, b: PolyMat, _checked: bool = False):
+    def __init__(self, v, b: PolyMat):
         self.v = tuple(v)
         self.b = b
         self._hash = None
@@ -128,7 +128,9 @@ class AffineInstance(Instance):
         return AffineElem(apply_A(g.v), conj_by_A(g.b))
 
     def coset_index(self, g: AffineElem) -> int:
-        return affine_coset_index(g, 0)
+        """v_1(1) * b_{1,1}(1)^{-1}, in closed form."""
+        p = self.p
+        return g.v[0].eval(1) * pow(g.b.rows[0][0].eval(1), p - 2, p) % p
 
     def generators(self) -> dict:
         """Translations t1..tn along e_i plus a finite matrix sample:
@@ -202,10 +204,3 @@ class AffineInstance(Instance):
         """All iterated states of the given degree-k elements stay degree-k."""
         return all(states_within(self, g, cap, lambda e: self.in_delta(e, k)) for g in elems)
 
-
-def affine_coset_index(e: AffineElem, alpha: int) -> int:
-    """Index of the coset holding (alpha e_1, I) * e, in closed form:
-    (alpha + v_1(1)) * b_{1,1}(1)^{-1}."""
-    p = e.v[0].p
-    b11 = e.b.rows[0][0].eval(1)
-    return (alpha + e.v[0].eval(1)) * pow(b11, p - 2, p) % p

@@ -106,21 +106,20 @@ class BorelInstance(Instance):
 
     def from_literal(self, data: dict) -> BorelElem:
         """Element from {"n": [[coeffs or {num, den}, ...], ...],
-        "d": [{"c": int, "exps": [ints]}, ...]}."""
+        "d": [{"c": int, "exps": [ints]}, ...]}.  "n" is m rows of m cells,
+        [] on and below the diagonal (N is unitriangular); both keys are
+        optional."""
         m = self.m
-        rows = []
-        raw_n = data.get("n")
+        rows = [list(row) for row in TriMat.identity(self.ring, m).rows]
+        raw_n = data.get("n", [[[]] * m] * m)
+        if not (isinstance(raw_n, list) and len(raw_n) == m and all(
+            isinstance(row, list) and len(row) == m and row[:i + 1] == [[]] * (i + 1)
+            for i, row in enumerate(raw_n)
+        )):
+            raise ValueError(f"'n' must be {m} rows of {m} cells, [] on and below the diagonal")
         for i in range(m):
-            row = []
-            for j in range(m):
-                if j < i:
-                    row.append(self.ring.zero)
-                elif j == i:
-                    row.append(self.ring.one)
-                else:
-                    cell = raw_n[i][j] if raw_n is not None else []
-                    row.append(SFraction.from_json(self.ring, cell))
-            rows.append(row)
+            for j in range(i + 1, m):
+                rows[i][j] = SFraction.from_json(self.ring, raw_n[i][j])
         raw_d = data.get("d", [{}] * m)
         shape = f"'d' must be a list of {m} objects with an integer 'c' and an integer list 'exps'"
         if not isinstance(raw_d, list) or len(raw_d) != m:
@@ -152,12 +151,10 @@ class BorelInstance(Instance):
         m = self.m
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         choices = [self._superdiag_polys(j - i) for (i, j) in positions]
+        ident = TriMat.identity(self.ring, m).rows
         elems = []
         for combo in itertools.product(*choices):
-            rows = [
-                [self.ring.one if i == j else self.ring.zero for j in range(m)]
-                for i in range(m)
-            ]
+            rows = [list(row) for row in ident]
             for (pos, poly) in zip(positions, combo):
                 rows[pos[0]][pos[1]] = self.ring.from_poly(poly)
             elems.append(BorelElem(TriMat(self.ring, rows), self._unit_ident, _canonical=True))
@@ -253,11 +250,9 @@ class BorelInstance(Instance):
         slot K, 1-based); xKsS is accepted as an alias."""
         gens = {"e": self._identity}
         m = self.m
+        ident = TriMat.identity(self.ring, m).rows
         for i in range(1, m):
-            rows = [
-                [self.ring.one if a == b else self.ring.zero for b in range(m)]
-                for a in range(m)
-            ]
+            rows = [list(row) for row in ident]
             rows[i - 1][i] = self.ring.one
             gens[f"u{i}"] = BorelElem(
                 TriMat(self.ring, rows), self._unit_ident, _canonical=True

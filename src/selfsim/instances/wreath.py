@@ -272,14 +272,13 @@ class WreathInstance(Instance):
         return gens
 
     def render(self, g: WreathElem) -> str:
-        names = [f"x{i+1}" for i in range(self.d)]
         parts = []
         if not g.r.is_zero:
-            r = g.r.render(names)
+            r = g.r.render()
             parts.append("a" if r == "1" else f"a^({r})")
         for i, e in enumerate(g.q):
             if e:
-                parts.append(names[i] + (f"^{e}" if e != 1 else ""))
+                parts.append(f"x{i+1}" + (f"^{e}" if e != 1 else ""))
         if self.localized:
             for i, e in enumerate(g.y):
                 if e:

@@ -2,8 +2,8 @@
 
 Two matrix flavors are used by the instance families:
 
-* upper-triangular matrices over a localized ring (``TriMat``), the
-  building blocks of the triangular matrix groups;
+* unitriangular matrices over a localized ring (``TriMat``), the
+  N-parts of the triangular matrix groups' elements N * D;
 * square matrices over F_p[x] (``PolyMat``) acting on columns given as
   tuples of polynomials, for the affine family, with the shift-style
   conjugation by the companion matrix A computed in closed form.
@@ -32,7 +32,8 @@ from .ring import (
 
 
 class TriMat:
-    """An upper-triangular square matrix over a localized ring."""
+    """A unitriangular square matrix over a localized ring: ones on the
+    diagonal, zeros below it."""
 
     __slots__ = ("ring", "size", "rows", "_hash")
 
@@ -46,11 +47,13 @@ class TriMat:
             for j in range(i):
                 if not row[j].is_zero:
                     raise ValueError("entry below the diagonal is nonzero")
+            if row[i] != ring.one:
+                raise ValueError("diagonal entry is not one")
         self._hash = None
 
     @classmethod
     def _raw(cls, ring: LocalizedRing, rows) -> "TriMat":
-        """Internal: rows square and zero below the diagonal by construction."""
+        """Internal: rows square and unitriangular by construction."""
         out = cls.__new__(cls)
         out.ring, out.rows, out.size, out._hash = ring, tuple(map(tuple, rows)), len(rows), None
         return out
@@ -108,31 +111,15 @@ def sum_of_products(ring: LocalizedRing, pairs):
 
 
 def tri_inverse(t: TriMat) -> TriMat:
-    """Invert an upper-triangular matrix with unit diagonal entries.
-
-    Back substitution: the inverse diagonal is entrywise inverse and, for
-    i < j, b[i][j] = -a[i][i]^{-1} * sum_{i<k<=j} a[i][k] b[k][j].
-    """
+    """Invert a unitriangular matrix by back substitution: starting from
+    the identity, b[i][j] = -sum_{i<k<=j} a[i][k] b[k][j] for i < j."""
     n = t.size
     ring = t.ring
     a = t.rows
-    zero = ring.zero
-    b = [[zero] * n for _ in range(n)]
-    inv_diag = []
-    for i in range(n):
-        d = a[i][i]
-        if d == ring.one:
-            inv_diag.append(ring.one)
-        else:
-            try:
-                inv_diag.append(d.inverse_unit())
-            except NotInvertible as exc:
-                raise NotInvertible(f"diagonal entry {d.render()} is not a unit") from exc
-        b[i][i] = inv_diag[i]
+    b = [list(row) for row in TriMat.identity(ring, n).rows]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            acc = sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
-            b[i][j] = -(acc if inv_diag[i] == ring.one else inv_diag[i] * acc)
+            b[i][j] = -sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
     return TriMat._raw(ring, b)
 
 

@@ -205,15 +205,17 @@ class DensePoly:
             return other.is_zero
         return (other % self).is_zero
 
-    def __pow__(self, k: int) -> "DensePoly":
+    def __pow__(self, k: int, modulus: "DensePoly | None" = None) -> "DensePoly":
+        """self^k by square-and-multiply, reduced mod modulus when given."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = DensePoly.one(self.p)
-        base = self
+        out, base = DensePoly.one(self.p), self
+        if modulus is not None:
+            out, base = out % modulus, base % modulus
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = out * base if modulus is None else out * base % modulus
+            base = base * base if modulus is None else base * base % modulus
             k >>= 1
         return out
 
@@ -225,18 +227,17 @@ class DensePoly:
         return acc
 
     def is_irreducible(self) -> bool:
-        """Exhaustive trial division by monic polynomials up to degree/2."""
+        """Ben-Or's test: f of degree d is irreducible exactly when
+        gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= d/2."""
         d = self.degree
         if d is NEG_INF or d == 0:
             return False
-        if d == 1:
-            return True
-        p = self.p
-        for e in range(1, int(d) // 2 + 1):
-            for tail in itertools.product(range(p), repeat=e):
-                trial = DensePoly(p, tail + (1,))
-                if trial.divides(self):
-                    return False
+        x = DensePoly.x(self.p)
+        h = x
+        for _ in range(int(d) // 2):
+            h = pow(h, self.p, self)
+            if (h - x).ext_gcd(self)[0].degree != 0:
+                return False
         return True
 
     def ext_gcd(self, other: "DensePoly"):
@@ -523,24 +524,6 @@ class SFraction(_LocalFraction):
             return self
         return self._mul_basis(self.num.mul_scalar(u.c), u.exps)
 
-    def inverse_unit(self) -> "SFraction":
-        """Inverse, defined only when the value is a unit of the ring."""
-        return self.as_unit().inv().as_fraction()
-
-    def as_unit(self) -> Unit:
-        """Express the value as c * prod f_i^{w_i}, or raise NotInvertible."""
-        if self.is_zero:
-            raise NotInvertible("zero is not a unit")
-        num = self.num
-        w = [-e for e in self.den]
-        for i in range(self.ring.n):
-            while (q := self.ring._divide(num, i)) is not None:
-                num = q
-                w[i] += 1
-        if num.degree != 0:
-            raise NotInvertible("not a unit of the localized ring")
-        return Unit(self.ring, num.coeffs[0], w)
-
     def reduce_mod_pivot_pow(self, k: int) -> DensePoly:
         """The residue mod pivot^k, as the unique representative of degree < k*deg(pivot)."""
         modulus = self.ring.pivot_pow(k)
@@ -602,7 +585,7 @@ class LocalizedRing(_Localization):
             prod = DensePoly.one(self.p)
             for f, e in zip(self.polys, den):
                 if e:
-                    prod = prod * pow(f % modulus, e) % modulus
+                    prod = prod * pow(f, e, modulus) % modulus
             out = self._den_inverses[key] = prod.invmod(modulus)
         return out
 
@@ -922,14 +905,13 @@ class MultiLaurent:
     def __hash__(self) -> int:
         return hash((self.p, self.d, self.key))
 
-    def render(self, names: list[str] | None = None) -> str:
+    def render(self) -> str:
         if self.is_zero:
             return "0"
-        names = names or [f"x{i+1}" for i in range(self.d)]
         parts = []
         for e, c in self.key:
             factors = [
-                f"{names[i]}" + (f"^{k}" if k != 1 else "")
+                f"x{i+1}" + (f"^{k}" if k != 1 else "")
                 for i, k in enumerate(e)
                 if k
             ]
@@ -972,15 +954,14 @@ class MultiSFraction(_LocalFraction):
             acc = acc * pow(inv, z, p) % p
         return acc
 
-    def render(self, names: list[str] | None = None) -> str:
-        names = names or [f"x{i+1}" for i in range(self.ring.d)]
-        num = self.num.render(names)
+    def render(self) -> str:
+        num = self.num.render()
         if not any(self.den):
             return num
         parts = []
         for i, z in enumerate(self.den):
             if z:
-                parts.append(f"g({names[i]})" + (f"^{z}" if z > 1 else ""))
+                parts.append(f"g(x{i+1})" + (f"^{z}" if z > 1 else ""))
         return f"({num})/" + "*".join(parts)
 
     def __repr__(self) -> str:

@@ -105,6 +105,19 @@ def test_build_borel_m3(capsys):
     assert data["transversal_size"] == 16
 
 
+def test_build_borel_large_p_sextic(tmp_path, capsys):
+    # x^6+x+3 is irreducible over F_4093; deciding it must not search divisors
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"family": "borel", "p": 4093, "m": 2, "polys": [[0, 1], [3, 1, 0, 0, 0, 0, 1]]}
+    ))
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["degree"] == 4093
+    assert data["validation"]["ok"] is True
+
+
 def test_build_invalid_config_exits_1(capsys):
     code, out, err = run(capsys, "build", str(CONFIGS / "invalid_lamplighter.json"))
     assert code == EXIT_INVALID
@@ -171,8 +184,19 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
         '{"d": [{"c": true}, {}]}',
         '{"d": [{"c": 1, "exps": ["1", 0]}, {}]}',
         '{"d": [{"c": 1, "exps": 3}, {}]}',
+        '{"n": [[[5,1], [1]], [[0,1], [7,0,1]]]}',
+        '{"n": [[[], [1]]]}',
+        '{"n": [[[], [1]], [[], []], [[], []]]}',
+        '{"n": [[[], [1], []], [[], []]]}',
+        '{"n": [[0, [1]], [[], []]]}',
+        '{"n": [[[], [1]], [[], [1]]]}',
+        '{"n": 5}',
     ],
-    ids=["non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps"],
+    ids=[
+        "non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps",
+        "filled-lower-cells", "short-n", "long-n", "long-row", "zero-diagonal-cell",
+        "one-diagonal-cell", "scalar-n",
+    ],
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
     code, out, err = run(capsys, "decompose", str(CONFIGS / "borel_m2_p2.json"), literal)

@@ -8,7 +8,7 @@ import pytest
 
 from selfsim.engine import decompose, product_rule_check, transversal_validate
 from selfsim.instances import InstanceConfigError, load_config
-from selfsim.instances.affine import AffineElem, AffineInstance, affine_coset_index
+from selfsim.instances.affine import AffineElem, AffineInstance
 from selfsim.matrix import PolyMat, conj_by_A, rho
 from selfsim.ring import DensePoly, NotDivisible
 
@@ -126,10 +126,10 @@ def test_conj_order_three_on_random_group_elements():
 
 def test_coset_index_identity_and_translation():
     inst = make(3, 2)
-    assert affine_coset_index(inst.identity(), 0) == 0
-    assert affine_coset_index(inst.identity(), 1) == 1
+    assert inst.coset_index(inst.identity()) == 0
+    assert inst.coset_index(inst.transversal[1]) == 1
     t1 = inst.generators()["t1"]
-    assert affine_coset_index(t1, 0) == 1
+    assert inst.coset_index(t1) == 1
 
 
 def test_coset_index_closed_form_matches_search():
@@ -141,9 +141,8 @@ def test_coset_index_closed_form_matches_search():
             assert inst.coset_index(g) == inst.coset_index_exhaustive(g)
             for alpha in range(p):
                 t = inst.transversal[alpha]
-                assert affine_coset_index(g, alpha) == inst.coset_index_exhaustive(
-                    inst.multiply(t, g)
-                )
+                tg = inst.multiply(t, g)
+                assert inst.coset_index(tg) == inst.coset_index_exhaustive(tg)
 
 
 # -- bounded-degree state sets ---------------------------------------------------------

@@ -2,6 +2,7 @@
 evaluation homomorphisms, configuration validation, and ring laws on
 random samples."""
 
+import itertools
 import random
 
 import pytest
@@ -101,6 +102,17 @@ def test_ext_gcd_and_invmod():
     with pytest.raises(NotInvertible):
         # x is not invertible modulo x^2
         DensePoly.x(p).invmod(P(p, 0, 0, 1))
+
+
+def test_poly_pow_with_modulus_matches_plain_pow():
+    rng = random.Random(7)
+    for _ in range(200):
+        a = random_poly(rng, 5, 4)
+        m = random_poly(rng, 5, 3)
+        if m.is_zero:
+            continue
+        k = rng.randrange(13)
+        assert pow(a, k, m) == a ** k % m
 
 
 # -- divide_exact ------------------------------------------------------------
@@ -257,6 +269,41 @@ def test_validate_config_flags_metabelian_condition():
     assert not strict.ok
 
 
+def _irreducible_exhaustive(f):
+    """Trial division by every monic polynomial of degree 1..d/2."""
+    d = f.degree
+    if d is NEG_INF or d == 0:
+        return False
+    for e in range(1, d // 2 + 1):
+        for tail in itertools.product(range(f.p), repeat=e):
+            if (f % DensePoly(f.p, tail + (1,))).is_zero:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 5), (3, 5), (5, 3)])
+def test_is_irreducible_matches_exhaustive_search(p, max_deg):
+    # every polynomial of degree <= max_deg, monic or not, zero included
+    for coeffs in itertools.product(range(p), repeat=max_deg + 1):
+        f = DensePoly(p, coeffs)
+        assert f.is_irreducible() == _irreducible_exhaustive(f), f
+
+
+def test_is_irreducible_matches_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(43)
+    cases = [(4093, [3, 1, 0, 0, 0, 0, 1])]  # x^6+x+3, irreducible
+    for p in (2, 3, 7, 4093):
+        for _ in range(40):
+            cases.append((p, [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]))
+    for p, coeffs in cases:
+        expected = galoistools.gf_irreducible_p(coeffs[::-1], p, ZZ)
+        assert DensePoly(p, coeffs).is_irreducible() == expected, (p, coeffs)
+    assert DensePoly(4093, [3, 1, 0, 0, 0, 0, 1]).is_irreducible()
+
+
 def test_validate_config_rejects_reducible_nonmonic_duplicate():
     p = 2
     rep = validate_config(p, [DensePoly.x(p), P(p, 1, 0, 1)])  # x^2+1 = (x+1)^2
@@ -398,16 +445,6 @@ def test_unit_arithmetic_and_fraction_action():
     assert c == a
     # action matches multiplication by the unit as a fraction
     assert b == a * u.as_fraction()
-
-
-def test_as_unit_detects_units_only():
-    ring = ring_f2()
-    f1 = ring.polys[1]
-    a = ring.fraction(DensePoly.x(2) * f1, (0, 0))
-    w = a.as_unit()
-    assert w.exps == (1, 1) and w.c == 1
-    with pytest.raises(NotInvertible):
-        ring.from_poly(P(2, 1, 1)).as_unit()
 
 
 def test_reduce_mod_pivot_pow():
