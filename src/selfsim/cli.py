@@ -38,6 +38,9 @@ EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_PARSE = 3
 
+# The most leaves (degree^depth) a portrait may have.
+MAX_PORTRAIT_LEAVES = 2**20
+
 
 class ExprError(ValueError):
     """An element expression failed to parse or evaluate."""
@@ -143,6 +146,12 @@ def cmd_decompose(args) -> int:
     inst = _load(args.config)
     if args.depth < 0:
         raise _Exit(EXIT_PARSE, "portrait depth must be nonnegative")
+    # every degree is at least 2, so a capped exponent decides the bound
+    if inst.degree ** min(args.depth, MAX_PORTRAIT_LEAVES.bit_length()) > MAX_PORTRAIT_LEAVES:
+        raise _Exit(
+            EXIT_PARSE,
+            f"a depth-{args.depth} portrait has more than {MAX_PORTRAIT_LEAVES} leaves",
+        )
     expr = parse_expr(args.expr)
     g = eval_expr(inst, expr)
     if args.depth:

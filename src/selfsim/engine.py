@@ -116,12 +116,15 @@ class Instance(ABC):
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
     `endo_f`, `generators` and `render`.  It may override `coset_index`
     with a closed form (`coset_index_exhaustive` stays the oracle);
-    `split`, which `decompose` calls once per letter for the coset index j
-    of g and the cofactor g * t_j^{-1} (the default multiplies by the
-    stored t_j^{-1}; a family whose coset search yields the cofactor
-    returns it directly); `random_element` with a sampler of its own (the
-    default is a random generator word); and `describe`.  The verify
-    suites also need `random_h_element`, a random element of H.
+    `letters`, the level permutation images and states of g that
+    `decompose` asks for (the default walks the transversal with `split`,
+    `h_member` and `endo_f`, and stays the oracle of a closed form);
+    `split`, which the default `letters` calls once per letter for the
+    coset index j of t * g and the cofactor t * g * t_j^{-1} (the default
+    multiplies by the stored t_j^{-1}; a family whose coset search yields
+    the cofactor returns it directly); `random_element` with a sampler of
+    its own (the default is a random generator word); and `describe`.
+    The verify suites also need `random_h_element`, a random element of H.
     """
 
     family: str = "abstract"
@@ -197,6 +200,23 @@ class Instance(ABC):
         j = self.coset_index(g)
         return j, self.multiply(g, self.transversal_inverses[j])
 
+    def letters(self, g) -> tuple:
+        """(images, states) of g: for each transversal letter t_i, the
+        index j of the coset holding t_i * g and the state
+        f(t_i * g * t_j^{-1}).  Raises ContractViolation when a cofactor
+        lies outside H."""
+        images = []
+        states = []
+        for t in self.transversal:
+            j, cof = self.split(self.multiply(t, g))
+            if not self.h_member(cof):
+                raise ContractViolation(
+                    f"cofactor at letter {len(images)} fails subgroup membership"
+                )
+            images.append(j)
+            states.append(self.endo_f(cof))
+        return images, states
+
     def random_word(self, rng, length: int):
         """A product of `length` factors, each drawn by rng.choice from the
         distinct non-identity generators in `generators()` order and then
@@ -240,16 +260,7 @@ def decompose(inst: Instance, g) -> WreathDecomp:
     hit = cache.get(g)
     if hit is not None:
         return hit
-    images = []
-    states = []
-    for t in inst.transversal:
-        j, cof = inst.split(inst.multiply(t, g))
-        if not inst.h_member(cof):
-            raise ContractViolation(
-                f"cofactor at letter {len(images)} fails subgroup membership"
-            )
-        images.append(j)
-        states.append(inst.endo_f(cof))
+    images, states = inst.letters(g)
     try:
         perm = Perm(images)
     except ValueError as exc:

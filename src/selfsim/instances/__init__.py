@@ -31,13 +31,18 @@ class InstanceConfigError(ValueError):
 # bounds the wreath rank d, the length of every element's exponent vectors.
 MAX_DEGREE = 4096
 
+# The largest degree of a basis polynomial or of the wreath g, checked
+# before any irreducibility test (Ben-Or's costs about deg^3 log p).
+MAX_POLY_DEGREE = 64
+
 
 def load_config(source):
     """Build an instance from a config dict, JSON text, or file path.
 
     Schema: {"family": "borel"|"affine"|"lamplighter"|"wreath", "p": int,
     "m"|"n"|"d": int, "polys": [[coeffs]...], "g": [coeffs],
-    "localized": bool}.  The instance's degree must not exceed MAX_DEGREE.
+    "localized": bool}.  The instance's degree must not exceed MAX_DEGREE,
+    nor a polynomial's degree MAX_POLY_DEGREE.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -64,9 +69,14 @@ def load_config(source):
 
     def poly(raw, key):
         try:
-            return DensePoly.from_json(p, raw)
+            f = DensePoly.from_json(p, raw)
         except ValueError:
             raise InstanceConfigError(f"coefficients in config key '{key}' must be a list of integers") from None
+        if f.degree > MAX_POLY_DEGREE:
+            raise InstanceConfigError(
+                f"a polynomial in config key '{key}' has degree {f.degree} > {MAX_POLY_DEGREE}"
+            )
+        return f
 
     def polys(key="polys"):
         raw = data.get(key)

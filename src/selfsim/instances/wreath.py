@@ -20,13 +20,37 @@ S = products of g(x_i)^{z_i} and the torsion-free part gains y_1..y_d
 acting by multiplication with g(x_i).  Elements are (r, q, y) with r a
 canonical fraction num / prod g(x_i)^{z_i}.  The subgroup additionally
 requires p | y_1 (transversal a^i x_1^j y_1^k, degree p^3), and the
-endomorphism clears the denominator with the minimal power s_1 = g(x_1)^k
-making the g(x_1)-exponent divisible by p:
+endomorphism is F on the a-part, where F clears the denominator with the
+least power g(x_1)^c making the g(x_1)-exponent divisible by p:
 
-    f~(num/s) = f(num * s_1) / g^{sigma(exps of s * s_1)}.
+    F(N / g^z) = f(N * g(x_1)^c) / g^{sigma(z + c e_1)},   c = -z_1 mod p.
 
-Well-definedness (independence of the admissible power) is a library
-check, exercised through `localized_endo_with_slack`.
+Two facts about F carry the decomposition.  (1) F is additive and does
+not depend on the clearing power (any c + p*s gives the same value, since
+g(x)^p = g(x^p) over F_p); `localized_endo_with_slack` exercises this.
+(2) F vanishes on N / g^z when p divides z_1 and every x_1-exponent of
+N (but not on 1/g(x_1), say).  The base family is the case with no y and no
+denominators, where F = f.
+
+Closed-form decomposition (`letters`).  For g = (r, q, y) and the letter
+t = a^i x_1^j y_1^k, let J = (j + q_1) mod p, K = (k + y_1) mod p and let
+eps be evaluation at all ones.  Then t*g lies in the coset of the letter
+a^I x_1^J y_1^K, with index (I*p + J)*p + K, where
+
+    I = (i + g(1)^{-k} eps(r)) * g(1)^{(k + y_1 - K + y_2 + ... + y_d) mod (p-1)},
+
+and the state at t is
+
+    (F(x_1^{-j} g(x_1)^{-k} r), sigma(j + q_1 - J, q_2, ...),
+                                sigma(k + y_1 - K, y_2, ...)).
+
+The cofactor t*g*(a^I x_1^J y_1^K)^{-1} has a-part
+i + x_1^{-j} g(x_1)^{-k} r - I * x_1^{-pa} * (a monomial in x_2..x_d)
+* g(x_1^p)^{-b} * prod_{i>=2} g(x_i)^{-y_i}; by (2), F kills the first and
+the third summand.  So the p^3 states take p^2 values of F, which come
+from p products N * g(x_1)^c and no group multiplication.  In the base
+family k = K = 0, y is empty, g(1) reads as 1 and the index is I*p + J.
+The generic `Instance.letters` stays the oracle.
 
 These groups are not claimed finite-state; state searches must run under
 a cap.  The admissible localizing polynomials are those with at least two
@@ -35,7 +59,9 @@ terms (not c x^j) and g(1) != 0.
 
 from __future__ import annotations
 
-from ..engine import Instance
+from operator import add, neg
+
+from ..engine import ContractViolation, Instance
 from ..ring import (
     DensePoly,
     MultiLaurent,
@@ -125,51 +151,35 @@ class WreathInstance(Instance):
         return mono
 
     def _build_transversal(self):
-        p, d = self.p, self.d
-        out = []
-        if self.localized:
-            for i in range(p):
-                for j in range(p):
-                    for k in range(p):
-                        out.append(
-                            WreathElem(
-                                self._a_power(i),
-                                (j,) + (0,) * (d - 1),
-                                (k,) + (0,) * (d - 1),
-                            )
-                        )
-        else:
-            for i in range(p):
-                for j in range(p):
-                    out.append(WreathElem(self._a_power(i), (j,) + (0,) * (d - 1)))
-        return out
+        p, zeros = self.p, (0,) * (self.d - 1)
+        ks = range(p) if self.localized else (None,)
+        return [
+            WreathElem(self._a_power(i), (j,) + zeros, None if k is None else (k,) + zeros)
+            for i in range(p)
+            for j in range(p)
+            for k in ks
+        ]
 
     def identity(self) -> WreathElem:
         return self._identity
 
-    def _shift_r(self, r, q, y):
-        """r * x^{-q} * g^{-y}: the conjugation action of (q, y)^{-1}."""
-        neg_q = tuple(-e for e in q)
-        if self.localized:
-            out = r.mul_monomial(neg_q)
-            for axis, k in enumerate(y):
-                if k:
-                    out = out.mul_g_power(axis, -k)
-            return out
-        return r.mul_monomial(neg_q)
-
     def multiply(self, a: WreathElem, b: WreathElem) -> WreathElem:
-        r = a.r + self._shift_r(b.r, a.q, a.y)
-        q = tuple(x + y for x, y in zip(a.q, b.q))
+        """(a.r + b.r * x^{-a.q} * g^{-a.y}, a.q + b.q, a.y + b.y), the
+        a-part as one shift-and-add."""
+        neg_q = tuple(map(neg, a.q))
+        q = tuple(map(add, a.q, b.q))
         if self.localized:
-            return WreathElem(r, q, tuple(x + y for x, y in zip(a.y, b.y)))
-        return WreathElem(r, q)
+            r = a.r.add_mul(b.r, neg_q, tuple(map(neg, a.y)))
+            return WreathElem(r, q, tuple(map(add, a.y, b.y)))
+        return WreathElem(a.r + b.r.mul_monomial(neg_q), q)
 
     def invert(self, a: WreathElem) -> WreathElem:
-        neg_q = tuple(-e for e in a.q)
-        neg_y = tuple(-e for e in a.y) if self.localized else None
-        r = -self._shift_r(a.r, neg_q, neg_y)
-        return WreathElem(r, neg_q, neg_y)
+        """(-a.r * x^{a.q} * g^{a.y}, -a.q, -a.y)."""
+        neg_q = tuple(map(neg, a.q))
+        if self.localized:
+            r = self.mring.zero.add_mul(-a.r, a.q, a.y)
+            return WreathElem(r, neg_q, tuple(map(neg, a.y)))
+        return WreathElem(-a.r.mul_monomial(a.q), neg_q)
 
     def _aug(self, r) -> int:
         return r.eval_at_ones() if self.localized else r.aug()
@@ -182,22 +192,61 @@ class WreathInstance(Instance):
         return True
 
     def coset_index(self, g: WreathElem) -> int:
-        """Closed form: the exponents mod p locate the x_1/y_1 letters and
-        the augmentation determines the a-letter, solving
-        aug(r) = i * g(1)^(k - sum y)."""
+        y = g.y or (0,)
+        return self._index(self._aug(g.r), g.q[0], y[0], sum(y))
+
+    def _index(self, eps: int, q1: int, y1: int, y_sum: int) -> int:
+        """Closed-form coset index of an element with augmentation eps,
+        exponents q_1, y_1 and y-exponent sum y_sum: x_1^j y_1^k are the
+        exponents mod p, and i solves eps = i * g(1)^(k - y_sum)."""
         p = self.p
+        j = q1 % p
+        if not self.localized:
+            return eps % p * p + j
+        k = y1 % p
+        # g(1) has multiplicative order dividing p-1
+        i = eps * pow(self.mring.g_at_one, (y_sum - k) % (p - 1), p) % p
+        return (i * p + j) * p + k
+
+    def letters(self, g: WreathElem) -> tuple:
+        """The closed form of the module docstring: no group products, and
+        one value of F per (j, k), shared by the p letters a^i x_1^j y_1^k."""
+        p = self.p
+        q1, q_rest = g.q[0], g.q[1:]
         if self.localized:
-            j = g.q[0] % p
-            k = g.y[0] % p
-            # g(1) has multiplicative order dividing p-1
-            i = (
-                g.r.eval_at_ones()
-                * pow(self.mring.g_at_one, (sum(g.y) - k) % (p - 1), p)
-            ) % p
-            return (i * p + j) * p + k
-        j = g.q[0] % p
-        i = g.r.aug()
-        return i * p + j
+            ks, y1, y_rest, g1 = range(p), g.y[0], g.y[1:], self.mring.g_at_one
+        else:
+            ks, y1, y_rest, g1 = (0,), 0, (), 1
+        nk = len(ks)
+        y_rest_sum = sum(y_rest)
+        eps = self._aug(g.r)
+        g1_inv = pow(g1, p - 2, p)
+        parts = {}
+        for k in ks:
+            num, w = self._cleared(g.r, k)
+            for j in range(p):
+                parts[j, k] = self._F(num, w, j)
+        images, states = [], []
+        for i in range(p):
+            for j in range(p):
+                for k in ks:
+                    # t*g = (i + x_1^{-j} g(x_1)^{-k} r, q + j e_1, y + k e_1)
+                    eps_t = (i + eps * pow(g1_inv, k, p)) % p
+                    y_sum = k + y1 + y_rest_sum
+                    n = self._index(eps_t, j + q1, k + y1, y_sum)
+                    big_i, big_j, big_k = n // (p * nk), n // nk % p, n % nk
+                    # the cofactor t*g*t_n^{-1}: its exponents and augmentation
+                    q = (j + q1 - big_j,) + q_rest
+                    y = (k + y1 - big_k,) + y_rest
+                    eps_c = eps_t - big_i * pow(g1, (big_k - y_sum) % (p - 1), p)
+                    if q[0] % p or y[0] % p or eps_c % p:
+                        raise ContractViolation(
+                            f"cofactor at letter {len(images)} fails subgroup membership"
+                        )
+                    images.append(n)
+                    y_state = self._sigma(y) if self.localized else None
+                    states.append(WreathElem(parts[j, k], self._sigma(q), y_state))
+        return images, states
 
     def _sigma(self, w) -> tuple:
         """(w_d, w_1/p, w_2, ..., w_{d-1}); requires p | w_1."""
@@ -205,55 +254,58 @@ class WreathInstance(Instance):
             raise NotInH("first exponent is not divisible by p")
         if self.d == 1:
             return (w[0] // self.p,)
-        return (w[-1], w[0] // self.p) + tuple(w[1:-1])
+        return (w[-1], w[0] // self.p) + w[1:-1]
 
-    def _f_laurent(self, r: MultiLaurent) -> MultiLaurent:
-        """The endomorphism on augmentation-zero Laurent exponents."""
-        if r.aug() != 0:
-            raise NotInH("a-part is not in the augmentation kernel")
+    def _f(self, num: MultiLaurent, j: int = 0) -> MultiLaurent:
+        """f(x_1^{-j} num) for the linear extension f of the a-part
+        endomorphism; defined on every Laurent polynomial."""
         p = self.p
         out: dict = {}
-        for exps, c in r.terms.items():
-            i = exps[0] % p
+        for exps, c in num.terms.items():
+            w1 = exps[0] - j
+            i = w1 % p
             if not i:
                 continue
-            z = (exps[0] - i,) + exps[1:]
-            target = self._sigma(z)
+            target = self._sigma((w1 - i,) + exps[1:])
             v = (out.get(target, 0) + c * i) % p
             if v:
                 out[target] = v
             elif target in out:
                 del out[target]
-        return MultiLaurent(p, self.d, out)
+        return MultiLaurent._raw(p, self.d, out)
+
+    def _cleared(self, r, k: int = 0, slack: int = 0) -> tuple:
+        """(N, w) with r / g(x_1)^k = N / g^w and p | w_1, cleared by the
+        least power g(x_1)^c that allows it, times g(x_1)^(slack*p).  The
+        base family has no denominators: (r, None)."""
+        if not self.localized:
+            return r, None
+        z = r.den
+        c = (-z[0] - k) % self.p + slack * self.p
+        num = r.num.mul_univariate(self.mring.g_pow(c), 0) if c else r.num
+        return num, (z[0] + k + c,) + z[1:]
+
+    def _F(self, num, w, j: int = 0):
+        """F(x_1^{-j} N / g^w) = f(x_1^{-j} N) / g^{sigma(w)} for (N, w)
+        from `_cleared`."""
+        f = self._f(num, j)
+        return f if w is None else self.mring.fraction(f, self._sigma(w))
 
     def endo_f(self, g: WreathElem) -> WreathElem:
-        if self.localized:
-            return self._localized_endo(g, 0)
-        if g.q[0] % self.p:
-            raise NotInH("torsion-free part is not in the subgroup")
-        return WreathElem(self._f_laurent(g.r), self._sigma(g.q))
+        return self._endo(g, 0)
 
-    def _localized_endo(self, g: WreathElem, slack: int) -> WreathElem:
-        """Clear the denominator with s_1 = g(x_1)^(k + slack*p), apply the
-        base endomorphism, divide by the image denominator."""
-        if g.q[0] % self.p or g.y[0] % self.p:
-            raise NotInH("torsion-free part is not in the subgroup")
-        z = g.r.den
-        k = (-z[0]) % self.p + slack * self.p
-        num = g.r.num
-        if k:
-            num = num.mul_univariate(self.mring.g_pow(k), 0)
-        fnum = self._f_laurent(num)
-        w = (z[0] + k,) + z[1:]
-        r = self.mring.fraction(fnum, self._sigma(w))
-        return WreathElem(r, self._sigma(g.q), self._sigma(g.y))
+    def _endo(self, g: WreathElem, slack: int) -> WreathElem:
+        if not self.h_member(g):
+            raise NotInH("element is not in the subgroup H")
+        y = self._sigma(g.y) if self.localized else None
+        return WreathElem(self._F(*self._cleared(g.r, slack=slack)), self._sigma(g.q), y)
 
     def localized_endo_with_slack(self, g: WreathElem, slack: int) -> WreathElem:
         """The endomorphism computed with a non-minimal admissible
         denominator-clearing power; must agree with endo_f."""
         if not self.localized:
             raise ValueError("base instance has no localized endomorphism")
-        return self._localized_endo(g, slack)
+        return self._endo(g, slack)
 
     def generators(self) -> dict:
         d = self.d

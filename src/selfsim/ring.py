@@ -17,7 +17,8 @@ rings; each supplies only how to multiply a numerator by b_i^k and how to
 divide it by b_i exactly.  As the b_i are pairwise coprime and operands
 canonical, only these axes are trial-divided: in a sum, those with equal
 exponents (where they differ, b_i divides exactly one scaled numerator);
-in a product by prod b_i^{w_i}, those raised from 0; in a product of two
+in a product by prod b_i^{w_i}, those raised from 0; in a sum a + b * unit
+(`MultiSFraction.add_mul`), the union of both rules; in a product of two
 fractions, all (g need not be irreducible).  `canonicalize`, the validated
 public entry, trial-divides every axis and is the tests' oracle.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 
 NEG_INF = float("-inf")
 
@@ -389,31 +391,36 @@ class _LocalFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def _join(self, other):
-        """Both numerators over the common denominator, that denominator, and
-        the axes where the sum of the numerators may be divisible by b_i."""
+    def _join(self, num, den, w=None):
+        """self.num and num * prod b_i^{w_i} (num / den canonical, w zero by
+        default) over their common denominator, that denominator, and the
+        axes where b_i may divide the sum of the numerators: neither side
+        is scaled there, or the second was raised from denominator 0."""
         scale = self.ring._scale
-        n1, n2 = self.num, other.num
-        den, same = [], []
-        for i, (a, b) in enumerate(zip(self.den, other.den)):
-            if a < b:
-                n1 = scale(n1, i, b - a)
-                den.append(b)
-            elif b < a:
-                n2 = scale(n2, i, a - b)
-                den.append(a)
-            else:
-                den.append(a)
-                same.append(i)
-        return n1, n2, den, same
+        n1 = self.num
+        out, axes = [], []
+        for i, a in enumerate(self.den):
+            b = den[i]
+            t = b - w[i] if w else b
+            e = a if a > t else t
+            if e < 0:
+                e = 0
+            if a < e:
+                n1 = scale(n1, i, e - a)
+            if t < e:
+                num = scale(num, i, e - t)
+            if e and (a == t or (a < t and not b)):
+                axes.append(i)
+            out.append(e)
+        return n1, num, out, axes
 
     def __add__(self, other):
-        n1, n2, den, same = self._join(other)
-        return self.ring._cancel(n1 + n2, den, same)
+        n1, n2, den, axes = self._join(other.num, other.den)
+        return self.ring._cancel(n1 + n2, den, axes)
 
     def __sub__(self, other):
-        n1, n2, den, same = self._join(other)
-        return self.ring._cancel(n1 - n2, den, same)
+        n1, n2, den, axes = self._join(other.num, other.den)
+        return self.ring._cancel(n1 - n2, den, axes)
 
     def __neg__(self):
         return self.__class__(self.ring, -self.num, self.den, _canonical=True)
@@ -423,8 +430,9 @@ class _LocalFraction:
         return self.ring._cancel(self.num * other.num, den, range(len(den)))
 
     def _mul_basis(self, num, exps):
-        """num / den * prod b_i^{w_i}, where num is self.num times a nonzero
-        scalar.  Only an exponent raised from 0 lets b_i divide num."""
+        """num / den * prod b_i^{w_i}, where num is self.num times a unit of
+        R (a nonzero scalar, or a monomial in the Laurent ring).  Only an
+        exponent raised from 0 lets b_i divide num."""
         ring = self.ring
         den = list(self.den)
         raised = []
@@ -808,8 +816,7 @@ class MultiLaurent:
         return MultiLaurent._raw(self.p, self.d, out)
 
     def mul_monomial(self, exps) -> "MultiLaurent":
-        exps = tuple(exps)
-        terms = {tuple(a + b for a, b in zip(e, exps)): v for e, v in self.terms.items()}
+        terms = {tuple(map(add, e, exps)): v for e, v in self.terms.items()}
         return MultiLaurent._raw(self.p, self.d, terms)
 
     def mul_univariate(self, g: DensePoly, axis: int) -> "MultiLaurent":
@@ -942,6 +949,17 @@ class MultiSFraction(_LocalFraction):
         exps = [0] * self.ring.n
         exps[axis] = k
         return self._mul_basis(self.num, exps)
+
+    def add_mul(self, other: "MultiSFraction", exps, gexps) -> "MultiSFraction":
+        """self + other * x^exps * prod g(x_i)^{gexps_i} in one pass: each
+        numerator is scaled at most once per axis, and only the axes where
+        g(x_i) can divide the sum are trial-divided."""
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other._mul_basis(other.num.mul_monomial(exps), gexps)
+        n1, n2, den, axes = self._join(other.num.mul_monomial(exps), other.den, gexps)
+        return self.ring._cancel(n1 + n2, den, axes)
 
     def eval_at_ones(self) -> int:
         """Evaluation at all-ones; zero exactly on the augmentation kernel."""

@@ -149,11 +149,14 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({"family": "wreath", "p": 4093, "d": 1}, EXIT_INVALID),
         ({"family": "borel", "p": 3, "m": 3000, "polys": [[0, 1]]}, EXIT_INVALID),
         ({"family": "wreath", "p": 2, "d": 10**8}, EXIT_INVALID),
+        ({**LAMP_F2, "polys": [[0, 1], [1] * 200 + [1]]}, EXIT_INVALID),
+        ({"family": "borel", "p": 4093, "m": 2, "polys": [[0, 1], [1] * 65 + [1]]}, EXIT_INVALID),
+        ({**WREATH_F2, "g": [1] * 66}, EXIT_INVALID),
     ],
     ids=[
         "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
         "bool-d", "string-localized", "bool-n", "huge-p", "huge-degree", "huge-borel-m",
-        "huge-wreath-d",
+        "huge-wreath-d", "huge-poly-degree", "huge-borel-poly-degree", "huge-g-degree",
     ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
@@ -330,6 +333,20 @@ def test_bad_cap_and_depth_exit_3(capsys):
         "-2",
     )
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "config, depth",
+    [("lamplighter_p2_n2.json", "40"), ("lamplighter_p2_n2.json", "21"),
+     ("wreath_localized_p2_d2.json", "7"), ("lamplighter_p2_n2.json", str(10**9))],
+)
+def test_portrait_over_leaf_bound_exits_3(capsys, config, depth):
+    # 2^40, 2^21, 8^7 = 2^21 and 2^(10^9) leaves: refused before the
+    # expression (whose x1-power alone would run without bound) is evaluated
+    code, out, err = run(capsys, "decompose", str(CONFIGS / config), "u x1^-100000000", "--depth", depth)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and "leaves" in err
 
 
 def test_automaton_cap_exceeded_reported(capsys):

@@ -2,9 +2,9 @@
 
 perfbench/goldens.json holds the exit code and stdout sha256 of every job
 the benchmark can run.  This replays `selfsim.cli.main` on every CLI job
-of the `cli_short` workload and on the shipped-config Borel portrait and
-automaton jobs of `univariate`, so a change to any printed byte fails here
-before it fails the benchmark.  The file is only read.
+of the `cli_short` and `wreath` workloads and on the shipped-config Borel
+portrait and automaton jobs of `univariate`, so a change to any printed
+byte fails here before it fails the benchmark.  The file is only read.
 """
 
 import hashlib
@@ -29,7 +29,7 @@ def borel_shipped(job):
     return job[1] in ("decompose", "automaton") and job[2].startswith("configs/borel")
 
 
-JOBS = jobs("cli_short") + jobs("univariate", borel_shipped)
+JOBS = jobs("cli_short") + jobs("univariate", borel_shipped) + jobs("wreath")
 
 
 @pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[1:]) for job in JOBS])
@@ -48,3 +48,4 @@ def test_job_matches_golden(job, capsys, monkeypatch):
 def test_replay_covers_the_workloads():
     assert len(jobs("cli_short")) == 563
     assert len(jobs("univariate", borel_shipped)) == 14
+    assert len(jobs("wreath")) == 56

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from selfsim.engine import (
+    ContractViolation,
+    Instance,
     decompose,
     faithfulness_probe,
     product_rule_check,
@@ -15,7 +17,7 @@ from selfsim.engine import (
 )
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.wreath import NotInH, WreathElem, WreathInstance, validate_localizer
-from selfsim.ring import DensePoly, MultiLaurent
+from selfsim.ring import DensePoly, MultiLaurent, canonicalize
 
 
 def P(p, *coeffs):
@@ -195,6 +197,121 @@ def test_localized_endo_on_y_part():
     zero = loc.mring.zero
     assert loc.endo_f(WreathElem(zero, (0, 0), (2, 0))).y == (0, 1)
     assert loc.endo_f(WreathElem(zero, (0, 0), (0, 1))).y == (1, 0)
+
+
+# -- closed-form decomposition ---------------------------------------------------------
+
+# localizing polynomials per p; x^2 + 3x + 2 = (x + 1)(x + 2) is reducible
+LOCALIZERS = {2: (1, 1, 1), 3: (2, 1, 1), 5: (2, 3, 1)}
+CLOSED_FORM_CASES = [(p, d, loc) for p in (2, 3, 5) for d in (1, 2, 3) for loc in (False, True)]
+
+
+def make(p, d, loc):
+    if loc:
+        return WreathInstance(p, d, g=P(p, *LOCALIZERS[p]), localized=True)
+    return WreathInstance(p, d)
+
+
+def samples(inst, rng, count):
+    """Elements inside and outside H, with negative exponents and, in the
+    localized family, denominators above 1 and g-powers in numerators."""
+    out = []
+    for _ in range(count):
+        a, b, c = (inst.random_element(rng) for _ in range(3))
+        abc = inst.multiply(inst.multiply(a, inst.invert(b)), c)
+        out += [a, inst.random_h_element(rng), inst.multiply(abc, abc)]
+    if inst.localized:
+        # y_1^2 a y_1^-3 = (1/g(x_1)^2, 0, -e_1)
+        y1 = inst.generators()["y1"]
+        out.append(inst.multiply(inst.multiply(inst.elem_pow(y1, 2), inst.generators()["a"]), inst.elem_pow(y1, -3)))
+    return out
+
+
+def F(inst, r, slack=0):
+    """The additive extension F of the a-part endomorphism."""
+    return inst._F(*inst._cleared(r, slack=slack))
+
+
+@pytest.mark.parametrize("p, d, loc", CLOSED_FORM_CASES)
+def test_letters_closed_form_matches_generic_oracle(p, d, loc):
+    rng = random.Random(100 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+    elems = samples(inst, rng, min(12, max(2, 200 // inst.degree)))
+    assert any(inst.h_member(g) for g in elems) and not all(inst.h_member(g) for g in elems)
+    assert any(min(g.q) < 0 for g in elems)
+    if loc:
+        assert any(max(g.r.den) >= 2 for g in elems) and any(min(g.y) < 0 for g in elems)
+    for g in elems:
+        assert inst.letters(g) == Instance.letters(inst, g)
+
+
+@pytest.mark.parametrize("p, d, loc", CLOSED_FORM_CASES)
+def test_fused_multiply_and_invert_match_public_operations(p, d, loc):
+    rng = random.Random(200 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+
+    def shifted(r, q, y):
+        # r * x^{-q} * g^{-y}, one public operation per factor
+        out = r.mul_monomial(tuple(-e for e in q))
+        for axis, k in enumerate(y or ()):
+            out = out.mul_g_power(axis, -k)
+        return out
+
+    elems = samples(inst, rng, 10)
+    for a, b in zip(elems, reversed(elems)):
+        ab = inst.multiply(a, b)
+        assert ab.r == a.r + shifted(b.r, a.q, a.y)
+        inv = inst.invert(a)
+        assert inv.r == -shifted(a.r, inv.q, inv.y)
+        if loc:
+            for r in (ab.r, inv.r):
+                c = canonicalize(inst.mring, r.num, r.den)
+                assert (r.num, r.den) == (c.num, c.den)
+
+
+@pytest.mark.parametrize("p, d, loc", CLOSED_FORM_CASES)
+def test_F_is_additive_and_independent_of_the_clearing_power(p, d, loc):
+    rng = random.Random(300 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+    rs = [g.r for g in samples(inst, rng, 8)]
+    for r1, r2 in zip(rs, reversed(rs)):
+        assert F(inst, r1 + r2) == F(inst, r1) + F(inst, r2)
+        if loc:
+            assert F(inst, r1, slack=1) == F(inst, r1)
+
+
+@pytest.mark.parametrize("p, d, loc", CLOSED_FORM_CASES)
+def test_F_vanishes_on_numerators_in_x1_to_the_p(p, d, loc):
+    rng = random.Random(400 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            e = (p * rng.randrange(-2, 3),) + tuple(rng.randrange(-2, 3) for _ in range(d - 1))
+            terms[e] = rng.randrange(1, p)
+        num = MultiLaurent(p, d, terms)
+        if loc:
+            # g(x_1)^p = g(x_1^p), and a denominator exponent of g(x_1) divisible by p
+            num = num.mul_univariate(inst.mring.g_pow(p * rng.randrange(2)), 0)
+            den = (p * rng.randrange(2),) + tuple(rng.randrange(3) for _ in range(d - 1))
+            r = inst.mring.fraction(num, den)
+        else:
+            r = num
+        assert F(inst, r).is_zero
+    # but not on 1 / g(x_1): the clearing power brings in other x_1-exponents
+    if loc:
+        assert not F(inst, inst.mring.fraction(MultiLaurent.one(p, d), (1,) + (0,) * (d - 1))).is_zero
+
+
+def test_letters_reports_a_wrong_coset_formula(monkeypatch):
+    inst = localized()
+    g = inst.generators()["a"]
+    right = inst._index
+    monkeypatch.setattr(inst, "_index", lambda *args: (right(*args) + inst.p * inst.p) % inst.degree)
+    with pytest.raises(ContractViolation):
+        inst.letters(g)
+    with pytest.raises(ContractViolation):
+        Instance.letters(inst, g)
 
 
 # -- engine interplay --------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Property tests for the shared localized-fraction core.
 
 Both fraction types, over p in {2, 3, 5, 7}: the ring axioms, uniqueness of
-the canonical form, and that every result of +, -, *, mul_unit and
-mul_g_power is already what the validated `canonicalize` makes of it --
-the oracle for the trial divisions the arithmetic skips.
+the canonical form, and that every result of +, -, *, mul_unit,
+mul_g_power and add_mul is already what the validated `canonicalize`
+makes of it -- the oracle for the trial divisions the arithmetic skips.
 """
 
 import pytest
@@ -164,6 +164,45 @@ def test_mul_g_power_is_canonical_and_matches_product(p, data):
     else:
         factor = ring.fraction(one, [-k if i == axis else 0 for i in range(D)])
     assert r == a * factor
+
+
+def g_unit(ring, exps, gexps):
+    """x^exps * prod g(x_i)^{gexps_i} through the public operations."""
+    out = ring.from_laurent(MultiLaurent.monomial(ring.p, D, exps))
+    for axis, k in enumerate(gexps):
+        out = out.mul_g_power(axis, k)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_add_mul_is_canonical_and_matches_sum_of_product(p, data):
+    ring = RINGS["m", p]
+    a, b = data.draw(fractions(ring)), data.draw(fractions(ring))
+    exps = data.draw(st.tuples(*[st.integers(-3, 3)] * D))
+    gexps = data.draw(st.tuples(*[st.integers(-4, 4)] * D))
+    unit = g_unit(ring, exps, gexps)
+    r = a.add_mul(b, exps, gexps)
+    assert canonical(r)
+    assert r == a + b * unit
+    u = ring.zero.add_mul(b, exps, gexps)
+    assert canonical(u) and u == b * unit
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_add_mul_cancels_on_every_axis_rule(p):
+    mr = RINGS["m", p]
+    one = MultiLaurent.one(p, D)
+    g0 = one.mul_univariate(mr.g, 0)
+    # equal exponents: 1/g(x_1) + (g(x_1) - 1)/g(x_1) = 1
+    r = mr.fraction(one, (1, 0)).add_mul(mr.fraction(g0 - one, (1, 0)), (0, 0), (0, 0))
+    assert r == mr.one and canonical(r)
+    # raised from 0 onto a divisible numerator: 1 + g(x_1) * g(x_1)^{-1} = 1 + 1,
+    # and -1 + g(x_1)^2 * g(x_1)^{-3} = (1 - g(x_1))/g(x_1)
+    r = mr.one.add_mul(mr.from_laurent(g0), (0, 0), (-1, 0))
+    assert canonical(r) and r == mr.one + mr.one
+    r = (-mr.one).add_mul(mr.from_laurent(g0.mul_univariate(mr.g, 0)), (0, 0), (-3, 0))
+    assert canonical(r) and r.den == (1, 0)
 
 
 # -- DensePoly: trusted construction -------------------------------------------
