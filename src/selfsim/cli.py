@@ -12,7 +12,8 @@ Subcommands:
                                           instance.
 
 Element expressions are words of named generators with integer exponents
-("u x0^-1 u^2"); matrix families also accept one JSON literal
+("u x0^-1 u^2"), of length (the sum of |exponent|) at most
+MAX_WORD_LENGTH; matrix families also accept one JSON literal
 ('{"v": [[1]], "b": [[...]]}' for the affine family, '{"n": ..., "d": ...}'
 for the triangular one).  Exit codes: 0 success, 1 hypothesis/validation
 failure, 2 verification failure, 3 I/O or parse error.
@@ -28,7 +29,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .instances import InstanceConfigError, load_config
+from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config
 from .engine import CapExceeded, decompose, portrait, states_bfs
 from .ring import NotInvertible
 from .verify import SUITES, run_suite
@@ -38,8 +39,9 @@ EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_PARSE = 3
 
-# The most leaves (degree^depth) a portrait may have.
-MAX_PORTRAIT_LEAVES = 2**20
+# The most leaves (degree^depth) a portrait may have; the portrait is built
+# whole in memory and printed indented.
+MAX_PORTRAIT_LEAVES = 2**16
 
 
 class ExprError(ValueError):
@@ -87,6 +89,9 @@ def parse_expr(text: str) -> ElementExpr:
             k = 1
         if k != 0:
             terms.append((name, k))
+    length = sum(abs(k) for _, k in terms)
+    if length > MAX_WORD_LENGTH:
+        raise ExprError(f"expression length {length} exceeds {MAX_WORD_LENGTH}")
     return ElementExpr(terms=tuple(terms))
 
 

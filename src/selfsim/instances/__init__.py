@@ -35,6 +35,10 @@ MAX_DEGREE = 4096
 # before any irreducibility test (Ben-Or's costs about deg^3 log p).
 MAX_POLY_DEGREE = 64
 
+# The largest length of an element expression, the sum of |exponent| over
+# its terms; it also bounds every exponent in a Borel literal.
+MAX_WORD_LENGTH = 256
+
 
 def load_config(source):
     """Build an instance from a config dict, JSON text, or file path.

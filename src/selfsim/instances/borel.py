@@ -1,16 +1,24 @@
 """Center quotients of triangular matrix groups over a localized ring.
 
-An element is stored factored as N * D with N unitriangular over
-A = F_p[1/x, 1/f_1, ..., 1/f_{n-1}] and D diagonal with entries in the
-unit group F_p^* x <f_0, ..., f_{n-1}>.  Scalar matrices form the center,
-so equality is taken modulo scalars; the canonical representative scales
-D to make its first entry 1 (N is unchanged by scalar factors).
+The group is that of the invertible upper-triangular m x m matrices over
+A = F_p[1/x, 1/f_1, ..., 1/f_{n-1}] modulo scalars.  An element is stored
+as its normalized representative M: the scalar multiple with every entry
+in F_p[x], no f_k dividing all entries, and M[0][0] monic.  Two
+representatives differ by a unit c * prod f_k^{w_k}; w_k > 0 would make
+f_k divide every entry and w_k < 0 needs it to, and monicity fixes c, so M
+is unique and elements compare by M.  The diagonal entries of M are unit
+monomials c_j * prod f_k^{e_jk}, whose exponent vectors are kept beside
+it.  A product is one triangular product over F_p[x], trial-divided by f_k
+only while every diagonal exponent of f_k is positive; the inverse is the
+adjugate det(M) * M^{-1} (`tri_inverse`), normalized the same way.
 
-The distinguished subgroup H consists of the elements whose N-part entry
-at (i, j) is divisible by (x-1)^(j-i); the endomorphism performs exactly
-those divisions and fixes D.  The transversal consists of the
-unitriangular matrices with polynomial entries of degree < j-i at (i, j),
-of which there are p^l, l = sum_i i(m-i).
+With M = lambda * N * D, N unitriangular and D diagonal, N[i][j] =
+M[i][j] / M[j][j], and M[j][j] is a unit coprime to x-1.  The subgroup H
+consists of the elements whose N-entry, equivalently M-entry, at (i, j) is
+divisible by (x-1)^(j-i); the endomorphism performs those divisions, which
+change neither the diagonal nor the content.  The transversal consists of
+the unitriangular matrices with polynomial entries of degree < j-i at
+(i, j), of which there are p^l, l = sum_i i(m-i).
 
 Locating the coset of an element never needs the full p^l search: writing
 the required cofactor condition superdiagonal by superdiagonal gives, for
@@ -18,53 +26,57 @@ each diagonal distance delta, a congruence modulo (x-1)^delta whose unique
 solution of degree < delta is the corresponding entry of t^{-1}.  The
 cofactor g * t^{-1} that the decomposition needs is read off the sums of
 this reduction, so no second product is formed (`split`).  The exhaustive
-search survives as `coset_index_exhaustive`, the test oracle.
+search survives as `coset_index_exhaustive`, the test oracle.  `entries`,
+the matrix M / M[0][0] of fractions that `render` prints, is the one way
+back to the localized ring.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import add, sub
 
 from ..engine import ContractViolation, Instance, decompose, states_within
 from ..matrix import TriMat, sum_of_products, tri_inverse
 from ..ring import (
     DensePoly,
     LocalizedRing,
+    NotDivisible,
     SFraction,
-    Unit,
-    divide_exact,
+    canonicalize,
     validate_config,
 )
-from . import InstanceConfigError
+from . import MAX_WORD_LENGTH, InstanceConfigError
 
 
 class BorelElem:
-    """N * D modulo scalars, canonicalized so the first diagonal unit is 1."""
+    """The normalized representative `mat` of an element, and the exponent
+    vectors of its diagonal entries; built by `BorelInstance` only."""
 
-    __slots__ = ("n_part", "d_part", "_hash")
+    __slots__ = ("mat", "exps")
 
-    def __init__(self, n_part: TriMat, d_part: tuple, _canonical: bool = False):
-        if not _canonical:
-            raise ValueError("use BorelInstance.make_element")
-        self.n_part = n_part
-        self.d_part = d_part
-        self._hash = None
+    def __init__(self, mat: TriMat, exps: tuple):
+        self.mat = mat
+        self.exps = exps
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BorelElem)
-            and self.n_part == other.n_part
-            and self.d_part == other.d_part
-        )
+        return isinstance(other, BorelElem) and self.mat == other.mat
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n_part, self.d_part))
-        return self._hash
+        return hash(self.mat)
 
     def __repr__(self) -> str:
-        return f"BorelElem({self.n_part.render()}, {[u.render() for u in self.d_part]})"
+        return f"BorelElem({self.mat.render()})"
+
+
+def _valuation(e: DensePoly, f: DensePoly, cap: int) -> int:
+    """How many times f divides the nonzero e, counting at most cap."""
+    for v in range(cap):
+        e, r = divmod(e, f)
+        if not r.is_zero:
+            return v
+    return cap
 
 
 class BorelInstance(Instance):
@@ -83,43 +95,50 @@ class BorelInstance(Instance):
         self.n = len(self.ring.polys)
         self.l_exponent = sum(i * (m - i) for i in range(1, m))
         self._degree = p ** self.l_exponent
-        one = self.ring.unit(1)
-        self._unit_ident = (one,) * m
-        self._identity = BorelElem(TriMat.identity(self.ring, m), self._unit_ident, _canonical=True)
+        self._zero_exps = ((0,) * self.n,) * m
+        self._identity = BorelElem(TriMat.identity(p, m), self._zero_exps)
 
     # -- element construction ---------------------------------------------
 
-    def make_element(self, n_part: TriMat, d_part) -> BorelElem:
-        """Canonicalize an N * D pair modulo the scalar center."""
-        d_part = tuple(d_part)
-        if len(d_part) != self.m or n_part.size != self.m:
-            raise ValueError("size mismatch")
-        lead = d_part[0]
-        if not lead.is_one:
-            scale = lead.inv()
-            d_part = tuple(u * scale for u in d_part)
-        return BorelElem(n_part, d_part, _canonical=True)
-
-    def matrix_entry(self, g: BorelElem, i: int, j: int) -> SFraction:
-        """Entry (i, j) of the representative matrix N * D."""
-        return g.n_part.rows[i][j].mul_unit(g.d_part[j])
+    def _element(self, mat: TriMat, exps: tuple) -> BorelElem:
+        """The element of mat, whose diagonal entries are unit monomials
+        with exponent vectors exps: mat divided by each f_k^v dividing
+        every entry, then scaled to make the corner monic."""
+        rows = mat.rows
+        m = self.m
+        for k, f in enumerate(self.ring.polys):
+            v = min(e[k] for e in exps)
+            if not v:
+                continue
+            for e in (e for i in range(m - 1) for e in rows[i][i + 1 :] if not e.is_zero):
+                v = _valuation(e, f, v)
+                if not v:
+                    break
+            if v:
+                fv = self.ring._pow(f, v)
+                rows = [[divmod(e, fv)[0] for e in row] for row in rows]
+                exps = tuple(e[:k] + (e[k] - v,) + e[k + 1 :] for e in exps)
+        lead = rows[0][0].coeffs[-1]
+        if lead != 1:
+            c = pow(lead, self.p - 2, self.p)
+            rows = [[e.mul_scalar(c) for e in row] for row in rows]
+        if rows is not mat.rows:
+            mat = TriMat._raw(self.p, rows)
+        return BorelElem(mat, exps)
 
     def from_literal(self, data: dict) -> BorelElem:
-        """Element from {"n": [[coeffs or {num, den}, ...], ...],
+        """Element N * D from {"n": [[coeffs or {num, den}, ...], ...],
         "d": [{"c": int, "exps": [ints]}, ...]}.  "n" is m rows of m cells,
-        [] on and below the diagonal (N is unitriangular); both keys are
-        optional."""
-        m = self.m
-        rows = [list(row) for row in TriMat.identity(self.ring, m).rows]
+        [] on and below the diagonal (N is unitriangular); "d" holds the
+        diagonal units c * prod f_k^{exps_k}, c nonzero mod p.  Both keys
+        are optional; no exponent may exceed MAX_WORD_LENGTH in size."""
+        m, n, p, ring = self.m, self.n, self.p, self.ring
         raw_n = data.get("n", [[[]] * m] * m)
         if not (isinstance(raw_n, list) and len(raw_n) == m and all(
             isinstance(row, list) and len(row) == m and row[:i + 1] == [[]] * (i + 1)
             for i, row in enumerate(raw_n)
         )):
             raise ValueError(f"'n' must be {m} rows of {m} cells, [] on and below the diagonal")
-        for i in range(m):
-            for j in range(i + 1, m):
-                rows[i][j] = SFraction.from_json(self.ring, raw_n[i][j])
         raw_d = data.get("d", [{}] * m)
         shape = f"'d' must be a list of {m} objects with an integer 'c' and an integer list 'exps'"
         if not isinstance(raw_d, list) or len(raw_d) != m:
@@ -128,11 +147,29 @@ class BorelInstance(Instance):
         for u in raw_d:
             if not isinstance(u, dict):
                 raise ValueError(shape)
-            c, exps = u.get("c", 1), u.get("exps", [0] * self.n)
+            c, exps = u.get("c", 1), u.get("exps", [0] * n)
             if type(c) is not int or not isinstance(exps, list) or any(type(e) is not int for e in exps):
                 raise ValueError(shape)
-            units.append(Unit(self.ring, c, exps))
-        return self.make_element(TriMat(self.ring, rows), units)
+            if c % p == 0:
+                raise ValueError(f"a diagonal 'c' must be nonzero mod {p}")
+            if len(exps) != n:
+                raise ValueError(f"a diagonal 'exps' must have {n} entries")
+            units.append((c % p, tuple(exps)))
+        cells = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                cells[i][j] = SFraction.from_json(ring, raw_n[i][j])
+        if any(abs(e) > MAX_WORD_LENGTH for _, w in units for e in w) or any(
+            e > MAX_WORD_LENGTH for row in cells for x in row for e in x.den
+        ):
+            raise ValueError(f"an exponent in the literal exceeds {MAX_WORD_LENGTH} in size")
+        # column j of N * D is column j of N times d_j; scaled by prod
+        # f_k^{t_k} every entry is a polynomial, and `_element` strips the rest
+        t = [max(x.den[k] for row in cells for x in row) + max(0, *(-w[k] for _, w in units))
+             for k in range(n)]
+        exps = tuple(tuple(map(add, w, t)) for _, w in units)
+        rows = [[x.mul_unit(c, e).num for x, (c, _), e in zip(row, units, exps)] for row in cells]
+        return self._element(TriMat(p, rows), exps)
 
     # -- contract -----------------------------------------------------------
 
@@ -151,59 +188,47 @@ class BorelInstance(Instance):
         m = self.m
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         choices = [self._superdiag_polys(j - i) for (i, j) in positions]
-        ident = TriMat.identity(self.ring, m).rows
+        ident = self._identity.mat.rows
         elems = []
         for combo in itertools.product(*choices):
             rows = [list(row) for row in ident]
-            for (pos, poly) in zip(positions, combo):
-                rows[pos[0]][pos[1]] = self.ring.from_poly(poly)
-            elems.append(BorelElem(TriMat(self.ring, rows), self._unit_ident, _canonical=True))
+            for (i, j), poly in zip(positions, combo):
+                rows[i][j] = poly
+            elems.append(BorelElem(TriMat._raw(self.p, rows), self._zero_exps))
         return elems
 
     def identity(self) -> BorelElem:
         return self._identity
 
     def multiply(self, a: BorelElem, b: BorelElem) -> BorelElem:
-        # (Na Da)(Nb Db) = (Na * (Da Nb Da^{-1})) * (Da Db)
-        da = a.d_part
-        n_part = a.n_part * self._conj(b.n_part, da, [u.inv() for u in da])
-        return self.make_element(n_part, [x * y for x, y in zip(da, b.d_part)])
+        exps = tuple(tuple(map(add, x, y)) for x, y in zip(a.exps, b.exps))
+        return self._element(a.mat * b.mat, exps)
 
     def invert(self, a: BorelElem) -> BorelElem:
-        # (N D)^{-1} = (D^{-1} N^{-1} D) * D^{-1}
-        inv = [u.inv() for u in a.d_part]
-        return self.make_element(self._conj(tri_inverse(a.n_part), inv, a.d_part), inv)
-
-    def _conj(self, n: TriMat, d, d_inv) -> TriMat:
-        """D N D^{-1} for D = diag(d), d_inv the inverses of d: entry (i, j)
-        times d_i d_j^{-1}."""
-        if all(u.is_one for u in d):
-            return n
-        return self._map_upper(n, lambda e, i, j: e.mul_unit(d[i] * d_inv[j]))
-
-    def _map_upper(self, n: TriMat, fn) -> TriMat:
-        """n with each nonzero entry e above the diagonal replaced by fn(e, i, j)."""
-        rows = [list(row) for row in n.rows]
-        for i, row in enumerate(rows):
-            for j in range(i + 1, self.m):
-                if not row[j].is_zero:
-                    row[j] = fn(row[j], i, j)
-        return TriMat._raw(self.ring, rows)
+        # the adjugate's diagonal entry j is the product of the others
+        total = tuple(map(sum, zip(*a.exps)))
+        exps = tuple(tuple(map(sub, total, e)) for e in a.exps)
+        return self._element(tri_inverse(a.mat), exps)
 
     def h_member(self, g: BorelElem) -> bool:
-        m = self.m
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = g.n_part.rows[i][j]
-                if e.is_zero:
-                    continue
-                if not (e.num % self.ring.pivot_pow(j - i)).is_zero:
+        pivot_pow = self.ring.pivot_pow
+        for i, row in enumerate(g.mat.rows):
+            for j in range(i + 1, self.m):
+                e = row[j]
+                if not e.is_zero and not (e % pivot_pow(j - i)).is_zero:
                     return False
         return True
 
     def endo_f(self, g: BorelElem) -> BorelElem:
-        n_part = self._map_upper(g.n_part, lambda e, i, j: divide_exact(e, j - i))
-        return self.make_element(n_part, g.d_part)
+        pivot_pow = self.ring.pivot_pow
+        rows = [list(row) for row in g.mat.rows]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, self.m):
+                if not row[j].is_zero:
+                    row[j], r = divmod(row[j], pivot_pow(j - i))
+                    if not r.is_zero:
+                        raise NotDivisible(f"entry ({i}, {j}) is not divisible by (x-1)^{j - i}")
+        return BorelElem(TriMat._raw(self.p, rows), g.exps)
 
     def coset_index(self, g: BorelElem) -> int:
         return self.split(g)[0]
@@ -211,75 +236,87 @@ class BorelInstance(Instance):
     def split(self, g: BorelElem) -> tuple:
         """Superdiagonal-by-superdiagonal reduction.
 
-        g * t^{-1} = N D S = D (A S) D^{-1} * D, with A = D^{-1} N D and S
-        the N-part of t^{-1}.  It lies in H exactly when every (A S)[i][l]
-        = s[i][l] + acc, acc = sum_{i<r<=l} A[i][r] s[r][l], vanishes
-        modulo (x-1)^(l-i): s[i][l] is the residue of -acc, of degree
-        < l-i.  S is looked up among the transversal inverses, and the
-        cofactor is read off the sums s[i][l] + acc.
+        g * t^{-1} = M S, with S the unitriangular t^{-1}; it lies in H
+        exactly when every (M S)[i][l] = M[i][i] s[i][l] + acc, acc =
+        sum_{i<r<=l} M[i][r] s[r][l], vanishes modulo (x-1)^(l-i): s[i][l]
+        is the residue of -acc / M[i][i], of degree < l-i.  S is looked up
+        among the transversal inverses, and M S, which keeps the diagonal
+        and the content of M, is read off the sums.
         """
-        m = self.m
-        ring = self.ring
-        d = g.d_part
-        d_inv = [u.inv() for u in d]
-        a = self._conj(g.n_part, d_inv, d).rows
-        s = [list(row) for row in self._identity.n_part.rows]
-        a_s = [list(row) for row in s]
+        m, p, ring = self.m, self.p, self.ring
+        a = g.mat.rows
+        s = [list(row) for row in self._identity.mat.rows]
+        cof = [list(row) for row in a]
         for delta in range(1, m):
+            modulus = ring.pivot_pow(delta)
             for i in range(m - delta):
                 l = i + delta
-                # s[l][l] = 1 brings in the A[i][l] term
-                acc = sum_of_products(ring, ((a[i][r], s[r][l]) for r in range(i + 1, l + 1)))
-                poly = -acc.reduce_mod_pivot_pow(delta)
-                if not poly.is_zero:
-                    s[i][l] = ring.from_poly(poly)
-                    acc = acc + s[i][l]
-                a_s[i][l] = acc
-        idx = self._index_of_inverse_n.get(TriMat._raw(ring, s))
+                # s[l][l] = 1 brings in the M[i][l] term
+                acc = sum_of_products(p, ((a[i][r], s[r][l]) for r in range(i + 1, l + 1)))
+                res = acc % modulus
+                if not res.is_zero:
+                    d = a[i][i]
+                    inv = ring._den_inverse(g.exps[i], delta).mul_scalar(pow(d.coeffs[-1], p - 2, p))
+                    res = res * inv % modulus
+                    s[i][l] = -res
+                    acc = acc - d * res
+                cof[i][l] = acc
+        idx = self._index_of_inverse.get(TriMat._raw(p, s))
         if idx is None:
             raise ContractViolation("coset reduction left the transversal")
-        return idx, BorelElem(self._conj(TriMat._raw(ring, a_s), d, d_inv), d, _canonical=True)
+        return idx, BorelElem(TriMat._raw(p, cof), g.exps)
 
     @cached_property
-    def _index_of_inverse_n(self) -> dict:
-        """The N-part of each transversal inverse t_j^{-1}, mapped to j."""
-        return {t.n_part: j for j, t in enumerate(self.transversal_inverses)}
+    def _index_of_inverse(self) -> dict:
+        """The matrix of each transversal inverse t_j^{-1}, mapped to j."""
+        return {t.mat: j for j, t in enumerate(self.transversal_inverses)}
 
     def generators(self) -> dict:
         """u1..u_{m-1} (superdiagonal elementary) and xK_S (diagonal f_S at
         slot K, 1-based); xKsS is accepted as an alias."""
         gens = {"e": self._identity}
-        m = self.m
-        ident = TriMat.identity(self.ring, m).rows
+        m, p = self.m, self.p
+        ident = self._identity.mat.rows
         for i in range(1, m):
             rows = [list(row) for row in ident]
-            rows[i - 1][i] = self.ring.one
-            gens[f"u{i}"] = BorelElem(
-                TriMat(self.ring, rows), self._unit_ident, _canonical=True
-            )
+            rows[i - 1][i] = DensePoly.one(p)
+            gens[f"u{i}"] = BorelElem(TriMat._raw(p, rows), self._zero_exps)
         for k in range(1, m + 1):
             for sdx in range(self.n):
-                units = list(self._unit_ident)
-                units[k - 1] = Unit(
-                    self.ring, 1, tuple(1 if t == sdx else 0 for t in range(self.n))
-                )
-                elem = self.make_element(TriMat.identity(self.ring, m), units)
+                rows = [list(row) for row in ident]
+                rows[k - 1][k - 1] = self.ring.polys[sdx]
+                exps = list(self._zero_exps)
+                exps[k - 1] = tuple(1 if t == sdx else 0 for t in range(self.n))
+                elem = BorelElem(TriMat._raw(p, rows), tuple(exps))
                 gens[f"x{k}_{sdx}"] = elem
                 gens[f"x{k}s{sdx}"] = elem
         return gens
 
+    def entries(self, g: BorelElem) -> list:
+        """M / M[0][0] as rows of canonical fractions, the matrix N * D
+        scaled so that its first diagonal entry is 1."""
+        ring = self.ring
+        a = g.mat.rows
+        corner, e0 = a[0][0], g.exps[0]
+        out = []
+        for i in range(self.m):
+            row = [ring.zero] * self.m
+            # diagonal units from their exponents
+            row[i] = ring.one.mul_unit(a[i][i].coeffs[-1], tuple(map(sub, g.exps[i], e0)))
+            for j in range(i + 1, self.m):
+                e = a[i][j]
+                if e.is_zero or not any(e0):
+                    row[j] = ring.from_poly(e)
+                    continue
+                q, r = divmod(e, corner)
+                row[j] = ring.from_poly(q) if r.is_zero else canonicalize(ring, e, e0)
+            out.append(row)
+        return out
+
     def render(self, g: BorelElem) -> str:
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if j < i:
-                    row.append("0")
-                else:
-                    row.append(self.matrix_entry(g, i, j).render())
-            rows.append("[" + ",".join(row) + "]")
-        return "[" + ",".join(rows) + "]"
+        return "[" + ",".join(
+            "[" + ",".join(x.render() for x in row) + "]" for row in self.entries(g)
+        ) + "]"
 
     def describe(self) -> dict:
         return {
@@ -293,25 +330,25 @@ class BorelInstance(Instance):
 
     def random_h_element(self, rng, length: int = 5) -> BorelElem:
         g = self.random_element(rng, length)
-        pivot = self.ring.pivot_pow
-        n_part = self._map_upper(g.n_part, lambda e, i, j: e * self.ring.from_poly(pivot(j - i)))
-        return self.make_element(n_part, g.d_part)
+        pivot_pow = self.ring.pivot_pow
+        rows = [list(row) for row in g.mat.rows]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, self.m):
+                row[j] = row[j] * pivot_pow(j - i)
+        return BorelElem(TriMat._raw(self.p, rows), g.exps)
 
     # -- structure checks ----------------------------------------------------
 
     def claim1_check(self) -> bool:
         """The transversal is closed under inversion, with the inverse
         entries obeying the same degree bounds deg <= j-i-1."""
-        for t in self.transversal:
-            inv = self.invert(t)
-            if any(not u.is_one for u in inv.d_part):
-                return False
-            for i in range(self.m):
+        one = DensePoly.one(self.p)
+        for inv in self.transversal_inverses:
+            for i, row in enumerate(inv.mat.rows):
+                if row[i] != one:
+                    return False
                 for j in range(i + 1, self.m):
-                    e = inv.n_part.rows[i][j]
-                    if e.is_zero:
-                        continue
-                    if not e.is_poly or e.num.degree > j - i - 1:
+                    if row[j].degree > j - i - 1:
                         return False
         return True
 
@@ -328,22 +365,15 @@ class BorelInstance(Instance):
     def in_delta(self, g: BorelElem, k: int, sdx: int) -> bool:
         """Membership (mod center) in the set of upper-triangular matrices
         with diagonal (1, .., f_s at slot k, .., 1) and polynomial entries
-        of degree <= deg f_s."""
-        m = self.m
-        f_unit = Unit(self.ring, 1, tuple(1 if t == sdx else 0 for t in range(self.n)))
-        deg = self.ring.polys[sdx].degree
-        others = [g.d_part[j] for j in range(m) if j != k - 1]
-        lam = others[0].inv()
-        if any(u != others[0] for u in others):
-            return False
-        if lam * g.d_part[k - 1] != f_unit:
-            return False
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = self.matrix_entry(g, i, j).mul_unit(lam)
-                if e.is_zero:
-                    continue
-                if not e.is_poly or e.num.degree > deg:
+        of degree <= deg f_s.  Such a matrix is normalized (a diagonal one
+        leaves no content, and its corner is monic), so M is compared."""
+        f = self.ring.polys[sdx]
+        one = DensePoly.one(self.p)
+        for i, row in enumerate(g.mat.rows):
+            if row[i] != (f if i == k - 1 else one):
+                return False
+            for j in range(i + 1, self.m):
+                if row[j].degree > f.degree:
                     return False
         return True
 

@@ -32,7 +32,6 @@ from ..ring import (
     DensePoly,
     LocalizedRing,
     SFraction,
-    Unit,
     divide_exact,
     eval_at_one,
     validate_config,
@@ -87,15 +86,13 @@ class LampInstance(Instance):
     def identity(self) -> LampElem:
         return self._identity
 
-    def _phi_inv(self, q) -> Unit:
-        return Unit(self.ring, 1, tuple(-e for e in q))
-
     def multiply(self, a: LampElem, b: LampElem) -> LampElem:
-        r = a.r + b.r.mul_unit(self._phi_inv(a.q))
+        # b.r * phi(a.q)^{-1}
+        r = a.r + b.r.mul_unit(1, tuple(-e for e in a.q))
         return LampElem(r, tuple(x + y for x, y in zip(a.q, b.q)))
 
     def invert(self, a: LampElem) -> LampElem:
-        r = -(a.r.mul_unit(Unit(self.ring, 1, a.q)))
+        r = -(a.r.mul_unit(1, a.q))
         return LampElem(r, tuple(-e for e in a.q))
 
     def h_member(self, g: LampElem) -> bool:
@@ -173,7 +170,7 @@ class LampInstance(Instance):
                 1 if k == j else 0 for k in range(self.n)
             )), 1)
             states = tuple(
-                LampElem(w.mul_unit(ring.unit(-i % p)) if i else ring.zero, g.q)
+                LampElem(w.mul_unit(-i % p, zeros) if i else ring.zero, g.q)
                 for i in range(p)
             )
             return WreathDecomp(Perm.identity(p), states)
@@ -185,7 +182,7 @@ class LampInstance(Instance):
             states = []
             for i in range(p):
                 s = (i + lam1) % p
-                r = ring.from_poly(lt) - w.mul_unit(ring.unit(s)) if s else ring.from_poly(lt)
+                r = ring.from_poly(lt) - w.mul_unit(s, zeros) if s else ring.from_poly(lt)
                 states.append(LampElem(r, g.q))
             perm = Perm(tuple((i + lam1) % p for i in range(p)))
             return WreathDecomp(perm, tuple(states))

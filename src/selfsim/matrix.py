@@ -2,8 +2,9 @@
 
 Two matrix flavors are used by the instance families:
 
-* unitriangular matrices over a localized ring (``TriMat``), the
-  N-parts of the triangular matrix groups' elements N * D;
+* upper-triangular matrices over F_p[x] (``TriMat``), the normalized
+  representatives of the triangular matrix groups' elements, inverted
+  modulo scalars by their adjugate (``tri_inverse``);
 * square matrices over F_p[x] (``PolyMat``) acting on columns given as
   tuples of polynomials, for the affine family, with the shift-style
   conjugation by the companion matrix A computed in closed form.
@@ -22,23 +23,20 @@ conjugation exists only in the tests as an oracle.
 
 from __future__ import annotations
 
-from .ring import (
-    NEG_INF,
-    DensePoly,
-    LocalizedRing,
-    NotDivisible,
-    NotInvertible,
-)
+import functools
+from operator import mul
+
+from .ring import NEG_INF, DensePoly, NotDivisible, NotInvertible
 
 
 class TriMat:
-    """A unitriangular square matrix over a localized ring: ones on the
-    diagonal, zeros below it."""
+    """An upper-triangular square matrix over F_p[x] with no zero on the
+    diagonal."""
 
-    __slots__ = ("ring", "size", "rows", "_hash")
+    __slots__ = ("p", "size", "rows", "_hash")
 
-    def __init__(self, ring: LocalizedRing, rows):
-        self.ring = ring
+    def __init__(self, p: int, rows):
+        self.p = p
         self.rows = tuple(tuple(row) for row in rows)
         self.size = len(self.rows)
         for i, row in enumerate(self.rows):
@@ -47,38 +45,33 @@ class TriMat:
             for j in range(i):
                 if not row[j].is_zero:
                     raise ValueError("entry below the diagonal is nonzero")
-            if row[i] != ring.one:
-                raise ValueError("diagonal entry is not one")
+            if row[i].is_zero:
+                raise ValueError("zero on the diagonal")
         self._hash = None
 
     @classmethod
-    def _raw(cls, ring: LocalizedRing, rows) -> "TriMat":
-        """Internal: rows square and unitriangular by construction."""
+    def _raw(cls, p: int, rows) -> "TriMat":
+        """Internal: rows square and upper-triangular by construction."""
         out = cls.__new__(cls)
-        out.ring, out.rows, out.size, out._hash = ring, tuple(map(tuple, rows)), len(rows), None
+        out.p, out.rows, out.size, out._hash = p, tuple(map(tuple, rows)), len(rows), None
         return out
 
     @staticmethod
-    def identity(ring: LocalizedRing, size: int) -> "TriMat":
-        return TriMat(
-            ring,
-            [
-                [ring.one if i == j else ring.zero for j in range(size)]
-                for i in range(size)
-            ],
-        )
+    def identity(p: int, size: int) -> "TriMat":
+        one, zero = DensePoly.one(p), DensePoly.zero(p)
+        return TriMat._raw(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
     def __mul__(self, other: "TriMat") -> "TriMat":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        ring = self.ring
-        out = [[ring.zero] * n for _ in range(n)]
+        n, p = self.size, self.p
+        zero = DensePoly.zero(p)
+        out = [[zero] * n for _ in range(n)]
         a, b = self.rows, other.rows
         for i in range(n):
             for j in range(i, n):
-                out[i][j] = sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
-        return TriMat._raw(ring, out)
+                out[i][j] = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
+        return TriMat._raw(p, out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TriMat) and self.rows == other.rows
@@ -97,30 +90,39 @@ class TriMat:
         return f"TriMat({self.render()})"
 
 
-def sum_of_products(ring: LocalizedRing, pairs):
-    """The sum of x * y over the pairs, skipping zero factors, not
-    multiplying by one and not adding the first term to zero."""
-    one = ring.one
+def sum_of_products(p: int, pairs) -> DensePoly:
+    """The sum of x * y over the pairs of polynomials, skipping zero
+    factors and not adding the first term to zero."""
     acc = None
     for x, y in pairs:
         if x.is_zero or y.is_zero:
             continue
-        term = y if x == one else x if y == one else x * y
-        acc = term if acc is None else acc + term
-    return ring.zero if acc is None else acc
+        acc = x * y if acc is None else acc + x * y
+    return DensePoly.zero(p) if acc is None else acc
 
 
 def tri_inverse(t: TriMat) -> TriMat:
-    """Invert a unitriangular matrix by back substitution: starting from
-    the identity, b[i][j] = -sum_{i<k<=j} a[i][k] b[k][j] for i < j."""
-    n = t.size
-    ring = t.ring
-    a = t.rows
-    b = [list(row) for row in TriMat.identity(ring, n).rows]
+    """The adjugate det(t) * t^{-1}, by back substitution: b[i][i] is the
+    product of the other diagonal entries, and for i < j
+
+        b[i][j] = -(sum_{i<k<=j} t[i][k] b[k][j]) / t[i][i],
+
+    a division that is exact because b is the adjugate, and that is
+    skipped where t[i][i] is one.  For unitriangular t, b is the inverse."""
+    n, p, a = t.size, t.p, t.rows
+    zero = DensePoly.zero(p)
+    diag = [a[i][i] for i in range(n)]
+    b = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = functools.reduce(mul, diag[:i] + diag[i + 1 :], DensePoly.one(p))
     for i in range(n - 1, -1, -1):
+        d = diag[i]
         for j in range(i + 1, n):
-            b[i][j] = -sum_of_products(ring, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
-    return TriMat._raw(ring, b)
+            acc = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
+            if d.coeffs != (1,):
+                acc = divmod(acc, d)[0]
+            b[i][j] = -acc
+    return TriMat._raw(p, b)
 
 
 class PolyMat:

@@ -11,6 +11,12 @@ F_p[x_1^{+-1}, ..., x_d^{+-1}].  Every element has a canonical form
 where b_i does not divide num whenever e_i > 0.  Canonical forms of equal
 elements are identical, which makes the values hashable and lets element
 sets (visited sets of breadth-first searches) work off plain equality.
+A unit of `LocalizedRing` is c * prod f_i^{w_i} with integer w_i; it is
+passed as the pair (c, w) (`SFraction.mul_unit`), never stored.  The
+Borel family keeps its matrices over F_p[x] itself, scaled by such a unit
+to its normalized representative (see `instances.borel`), and comes back
+to fractions only to print entries and, through `_den_inverse`, to invert
+its diagonal entries modulo powers of the pivot x - 1.
 
 One core (`_Localization`, `_LocalFraction`) does the arithmetic of both
 rings; each supplies only how to multiply a numerator by b_i^k and how to
@@ -158,6 +164,11 @@ class DensePoly:
         a, b, p = self.coeffs, other.coeffs, self.p
         if not a or not b:
             return DensePoly.zero(p)
+        # a factor one is common: most diagonal entries of triangular matrices
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -297,76 +308,6 @@ class DensePoly:
 
     def __repr__(self) -> str:
         return f"DensePoly({self.render()} mod {self.p})"
-
-
-class Unit:
-    """An invertible element c * f_0^{w_0} * ... * f_{n-1}^{w_{n-1}} of a
-    localized ring, with c a nonzero scalar and integer exponents w."""
-
-    __slots__ = ("ring", "c", "exps", "_hash")
-
-    def __init__(self, ring: "LocalizedRing", c: int, exps):
-        c %= ring.p
-        if c == 0:
-            raise NotInvertible("zero is not a unit")
-        self.ring = ring
-        self.c = c
-        self.exps = tuple(int(e) for e in exps)
-        if len(self.exps) != len(ring.polys):
-            raise ValueError("exponent vector length mismatch")
-        self._hash = None
-
-    @classmethod
-    def _raw(cls, ring: "LocalizedRing", c: int, exps: tuple) -> "Unit":
-        """Internal: c a nonzero residue, exps a tuple of len(ring.polys) ints."""
-        out = cls.__new__(cls)
-        out.ring, out.c, out.exps, out._hash = ring, c, exps, None
-        return out
-
-    def __mul__(self, other: "Unit") -> "Unit":
-        exps = tuple([a + b for a, b in zip(self.exps, other.exps)])
-        return Unit._raw(self.ring, self.c * other.c % self.ring.p, exps)
-
-    def inv(self) -> "Unit":
-        p = self.ring.p
-        return Unit._raw(self.ring, pow(self.c, p - 2, p), tuple([-e for e in self.exps]))
-
-    @property
-    def is_one(self) -> bool:
-        return self.c == 1 and not any(self.exps)
-
-    def as_fraction(self) -> "SFraction":
-        ring = self.ring
-        num = DensePoly.constant(ring.p, self.c)
-        for i, e in enumerate(self.exps):
-            if e > 0:
-                num = ring._scale(num, i, e)
-        return SFraction(ring, num, tuple(max(-e, 0) for e in self.exps), _canonical=True)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Unit)
-            and self.c == other.c
-            and self.exps == other.exps
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.c, self.exps))
-        return self._hash
-
-    def render(self) -> str:
-        if self.is_one:
-            return "1"
-        parts = [] if self.c == 1 else [str(self.c)]
-        for f, e in zip(self.ring.polys, self.exps):
-            if e:
-                base = f.render()
-                parts.append(f"({base})" + (f"^{e}" if e != 1 else ""))
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self) -> str:
-        return f"Unit({self.render()})"
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +467,12 @@ class SFraction(_LocalFraction):
     def is_poly(self) -> bool:
         return not any(self.den)
 
-    def mul_unit(self, u: Unit) -> "SFraction":
-        """Multiply by a unit c * prod f_i^{w_i}."""
-        if u.is_one:
+    def mul_unit(self, c: int, exps) -> "SFraction":
+        """Multiply by the unit c * prod f_i^{w_i}, c a nonzero residue and
+        exps the integer exponents w."""
+        if c == 1 and not any(exps):
             return self
-        return self._mul_basis(self.num.mul_scalar(u.c), u.exps)
+        return self._mul_basis(self.num.mul_scalar(c), exps)
 
     def reduce_mod_pivot_pow(self, k: int) -> DensePoly:
         """The residue mod pivot^k, as the unique representative of degree < k*deg(pivot)."""
@@ -612,9 +554,6 @@ class LocalizedRing(_Localization):
 
     def constant(self, c: int) -> SFraction:
         return self.from_poly(DensePoly.constant(self.p, c))
-
-    def unit(self, c: int, exps=None) -> Unit:
-        return Unit(self, c, exps if exps is not None else (0,) * self.n)
 
 
 def divide_exact(a: SFraction, k: int) -> SFraction:

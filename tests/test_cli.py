@@ -11,6 +11,7 @@ from selfsim.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY_FAILED,
+    MAX_WORD_LENGTH,
     ElementExpr,
     ExprError,
     eval_expr,
@@ -50,6 +51,31 @@ def test_parse_expr_rejects_garbage():
         parse_expr("")
     with pytest.raises(ExprError):
         parse_expr("{not json")
+
+
+def test_parse_expr_bounds_word_length():
+    # the length is the sum of |exponent| over the terms
+    assert MAX_WORD_LENGTH == 256
+    assert len(parse_expr("u^128 x0^-127 u").terms) == 3
+    with pytest.raises(ExprError, match="length 257"):
+        parse_expr("u^128 x0^-128 u")
+
+
+@pytest.mark.parametrize("command", ["decompose", "automaton"])
+@pytest.mark.parametrize(
+    "expr, expected",
+    [("u x1^-100000000", EXIT_PARSE), ("u x1^-255", EXIT_OK), ("u x1^-256", EXIT_PARSE)],
+    ids=["huge", "length-256", "length-257"],
+)
+def test_word_length_bound_exits_3_before_group_work(capsys, command, expr, expected):
+    extra = ["--cap", "64", "--format", "json"] if command == "automaton" else []
+    code, out, err = run(capsys, command, str(CONFIGS / "lamplighter_p2_n2.json"), expr, *extra)
+    assert code == expected
+    if expected == EXIT_PARSE:
+        assert out == ""
+        assert err.count("\n") == 1 and "exceeds 256" in err
+    else:
+        assert err == "" and out
 
 
 def test_expr_round_trip_reparses_to_equal_element():
@@ -194,11 +220,15 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
         '{"n": [[0, [1]], [[], []]]}',
         '{"n": [[[], [1]], [[], [1]]]}',
         '{"n": 5}',
+        '{"d": [{"c": 1, "exps": [1]}, {}]}',
+        '{"d": [{"c": 2}, {}]}',
+        '{"d": [{"c": 1, "exps": [100000000, 0]}, {}]}',
+        '{"n": [[[], {"num": [1], "den": [0, 257]}], [[], []]]}',
     ],
     ids=[
         "non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps",
         "filled-lower-cells", "short-n", "long-n", "long-row", "zero-diagonal-cell",
-        "one-diagonal-cell", "scalar-n",
+        "one-diagonal-cell", "scalar-n", "short-exps", "c-zero-mod-p", "huge-exp", "huge-den",
     ],
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
@@ -338,11 +368,12 @@ def test_bad_cap_and_depth_exit_3(capsys):
 @pytest.mark.parametrize(
     "config, depth",
     [("lamplighter_p2_n2.json", "40"), ("lamplighter_p2_n2.json", "21"),
-     ("wreath_localized_p2_d2.json", "7"), ("lamplighter_p2_n2.json", str(10**9))],
+     ("wreath_localized_p2_d2.json", "7"), ("lamplighter_p2_n2.json", str(10**9)),
+     ("lamplighter_p2_n2.json", "17")],
 )
 def test_portrait_over_leaf_bound_exits_3(capsys, config, depth):
-    # 2^40, 2^21, 8^7 = 2^21 and 2^(10^9) leaves: refused before the
-    # expression (whose x1-power alone would run without bound) is evaluated
+    # 2^40, 2^21, 8^7 = 2^21, 2^(10^9) and 2^17 leaves: refused before the
+    # expression (itself over the length bound) is parsed
     code, out, err = run(capsys, "decompose", str(CONFIGS / config), "u x1^-100000000", "--depth", depth)
     assert code == EXIT_PARSE
     assert out == ""

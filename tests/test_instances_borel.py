@@ -9,7 +9,6 @@ import pytest
 from selfsim.engine import decompose, product_rule_check, transversal_validate
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.borel import BorelInstance
-from selfsim.matrix import TriMat
 from selfsim.ring import DensePoly, NotDivisible
 
 
@@ -78,38 +77,30 @@ def test_center_normalization_collapses_scalars():
 # -- h membership and the endomorphism ------------------------------------------
 
 
-def _elementary(inst, i, j, fr):
-    rows = [
-        [inst.ring.one if a == b else inst.ring.zero for b in range(inst.m)]
-        for a in range(inst.m)
-    ]
-    rows[i][j] = fr
-    return inst.make_element(TriMat(inst.ring, rows), inst._unit_ident)
+def _elementary(inst, i, j, poly):
+    cells = [[[] for _ in range(inst.m)] for _ in range(inst.m)]
+    cells[i][j] = poly.to_json()
+    return inst.from_literal({"n": cells})
 
 
 def test_h_member_cases():
     inst2 = make(2, 2)
     assert inst2.h_member(inst2.identity())
-    piv = inst2.ring.from_poly(inst2.ring.pivot)
+    piv = inst2.ring.pivot
     assert inst2.h_member(_elementary(inst2, 0, 1, piv))
-    assert not inst2.h_member(_elementary(inst2, 0, 1, inst2.ring.one))
+    assert not inst2.h_member(_elementary(inst2, 0, 1, DensePoly.one(2)))
     inst3 = make(3, 2)
     # distance 2 needs (x-1)^2
-    assert not inst3.h_member(_elementary(inst3, 0, 2, piv3(inst3, 1)))
-    assert inst3.h_member(_elementary(inst3, 0, 2, piv3(inst3, 2)))
-
-
-def piv3(inst, k):
-    return inst.ring.from_poly(inst.ring.pivot_pow(k))
+    assert not inst3.h_member(_elementary(inst3, 0, 2, inst3.ring.pivot_pow(1)))
+    assert inst3.h_member(_elementary(inst3, 0, 2, inst3.ring.pivot_pow(2)))
 
 
 def test_endo_divides_entries():
     inst = make(2, 2)
-    x = inst.ring.from_poly(DensePoly.x(2))
-    piv = inst.ring.from_poly(inst.ring.pivot)
-    g = _elementary(inst, 0, 1, piv * x)
+    x = DensePoly.x(2)
+    g = _elementary(inst, 0, 1, inst.ring.pivot * x)
     img = inst.endo_f(g)
-    assert img.n_part.rows[0][1] == x
+    assert img.mat.rows[0][1] == x
     assert inst.endo_f(inst.identity()) == inst.identity()
 
 
@@ -124,7 +115,7 @@ def test_endo_fixes_scalar_center():
 def test_endo_raises_off_h():
     inst = make(2, 2)
     with pytest.raises(NotDivisible):
-        inst.endo_f(_elementary(inst, 0, 1, inst.ring.one))
+        inst.endo_f(_elementary(inst, 0, 1, DensePoly.one(2)))
 
 
 def test_endo_is_homomorphism_on_h():
@@ -137,6 +128,83 @@ def test_endo_is_homomorphism_on_h():
         lhs = inst.endo_f(inst.multiply(a, b))
         rhs = inst.multiply(inst.endo_f(a), inst.endo_f(b))
         assert lhs == rhs
+
+
+# -- multiply and invert against naive fraction matrices ---------------------------
+
+
+def seeded_elements(inst, rng, count):
+    """Random generator words, and literals N * D with random fractions
+    above the diagonal of N and random diagonal units c * prod f_k^{e_k}."""
+    m, n, p = inst.m, inst.n, inst.p
+    out = []
+    for _ in range(count):
+        out.append(inst.random_element(rng, 5))
+        cells = [[[] for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                num = [rng.randrange(p) for _ in range(3)]
+                cells[i][j] = {"num": num, "den": [rng.randrange(3) for _ in range(n)]}
+        d = [{"c": rng.randrange(1, p), "exps": [rng.randrange(-2, 3) for _ in range(n)]}
+             for _ in range(m)]
+        out.append(inst.from_literal({"n": cells, "d": d}))
+    return out
+
+
+def naive_product(ring, a, b):
+    m = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), ring.zero) for j in range(m)]
+            for i in range(m)]
+
+
+def is_normalized(inst, g):
+    """The stored matrix has its diagonal entries c * prod f_k^{e_k} from
+    the exponent vectors, no f_k dividing every entry, and a monic corner."""
+    rows = g.mat.rows
+    for j, e in enumerate(g.exps):
+        unit = DensePoly.constant(inst.p, rows[j][j].coeffs[-1])
+        for f, k in zip(inst.ring.polys, e):
+            unit = unit * f**k
+        if rows[j][j] != unit:
+            return False
+    upper = [rows[i][j] for i in range(inst.m) for j in range(i, inst.m)]
+    return rows[0][0].is_monic and not any(
+        all(f.divides(e) for e in upper) for f in inst.ring.polys
+    )
+
+
+@pytest.mark.parametrize("m, p", [(2, 2), (2, 3), (3, 2)])
+def test_multiply_and_invert_match_naive_fraction_matrices(m, p):
+    # entries(g) is M / M[0][0], whose corner is 1: products and inverses
+    # of these fraction matrices need no scaling to compare
+    inst = make(m, p)
+    ring = inst.ring
+    elems = seeded_elements(inst, random.Random(100 * m + p), 12)
+    ident = inst.entries(inst.identity())
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        ab, inv = inst.multiply(a, b), inst.invert(a)
+        assert inst.entries(ab) == naive_product(ring, inst.entries(a), inst.entries(b))
+        assert naive_product(ring, inst.entries(a), inst.entries(inv)) == ident
+        assert is_normalized(inst, a) and is_normalized(inst, ab) and is_normalized(inst, inv)
+        assert inst.multiply(a, inv) == inst.identity() == inst.multiply(inv, a)
+        assert inst.invert(inv) == a
+
+
+def test_literal_is_normalized_modulo_scalars():
+    # a scalar diagonal is the identity, whatever its unit
+    inst = make(2, 3)
+    for d in ([{"c": 2}, {"c": 2}], [{"c": 1, "exps": [1, -2]}] * 2):
+        assert inst.from_literal({"d": d}) == inst.identity()
+    g = inst.from_literal({"n": [[[], [1]], [[], []]], "d": [{"c": 2, "exps": [1, 0]}, {}]})
+    assert g.mat.rows[0] == (DensePoly.x(3), DensePoly.constant(3, 2))
+    assert inst.render(g) == "[[1,2/(x)],[0,2/(x)]]"
+    # as N * D scaled to a first diagonal entry 1
+    cell = {"num": [1, 1], "den": [1, 2]}
+    d = [{"c": 2, "exps": [1, -1]}, {"c": 1, "exps": [-2, 3]}]
+    g = inst.from_literal({"n": [[[], cell], [[], []]], "d": d})
+    assert inst.render(g) == (
+        "[[1,(2x^5+2x^3+x+2)/(x)^4],[0,(2x^8+2x^7+x^6+2x^5+2x^4+x^3+x^2+x+2)/(x)^3]]"
+    )
 
 
 # -- coset index: closed form vs exhaustive oracle --------------------------------

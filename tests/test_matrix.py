@@ -16,7 +16,6 @@ from selfsim.matrix import (
 from selfsim.ring import (
     NEG_INF,
     DensePoly,
-    LocalizedRing,
     NotDivisible,
     NotInvertible,
 )
@@ -26,130 +25,136 @@ def P(p, *coeffs):
     return DensePoly(p, coeffs)
 
 
-def ring(p=2):
-    if p == 2:
-        return LocalizedRing(2, [DensePoly.x(2), P(2, 1, 1, 1)])
-    return LocalizedRing(p, [DensePoly.x(p)])
-
-
 def random_poly(rng, p, max_deg):
     return DensePoly(p, [rng.randrange(p) for _ in range(rng.randrange(max_deg + 2))])
 
 
-def random_unitriangular(rng, rg, m, max_deg=2):
+def random_triangular(rng, p, m, max_deg=2, unit_diagonal=True):
+    """Upper triangular over F_p[x]: ones on the diagonal, or random
+    polynomials there (one in place of zero)."""
     rows = []
     for i in range(m):
         row = []
         for j in range(m):
             if j < i:
-                row.append(rg.zero)
+                row.append(DensePoly.zero(p))
             elif j == i:
-                row.append(rg.one)
+                d = DensePoly.one(p) if unit_diagonal else random_poly(rng, p, max_deg)
+                row.append(DensePoly.one(p) if d.is_zero else d)
             else:
-                row.append(rg.from_poly(random_poly(rng, rg.p, max_deg)))
+                row.append(random_poly(rng, p, max_deg))
         rows.append(row)
-    return TriMat(rg, rows)
+    return TriMat(p, rows)
 
 
-def transversal_style(rng, rg, m):
+def transversal_style(rng, p, m):
     """Unitriangular with deg(entry at (i,j)) <= j-i-1 (or zero)."""
     rows = []
     for i in range(m):
         row = []
         for j in range(m):
             if j < i:
-                row.append(rg.zero)
+                row.append(DensePoly.zero(p))
             elif j == i:
-                row.append(rg.one)
+                row.append(DensePoly.one(p))
             else:
-                deg_bound = j - i - 1
-                row.append(
-                    rg.from_poly(
-                        DensePoly(rg.p, [rng.randrange(rg.p) for _ in range(deg_bound + 1)])
-                    )
-                )
+                row.append(DensePoly(p, [rng.randrange(p) for _ in range(j - i)]))
         rows.append(row)
-    return TriMat(rg, rows)
+    return TriMat(p, rows)
+
+
+def scalar(p, m, d):
+    return TriMat(p, [[d if i == j else DensePoly.zero(p) for j in range(m)] for i in range(m)])
+
+
+def det(t):
+    out = DensePoly.one(t.p)
+    for i in range(t.size):
+        out = out * t.rows[i][i]
+    return out
 
 
 # -- tri_inverse ---------------------------------------------------------------
 
 
 def test_tri_inverse_identity():
-    rg = ring()
-    ident = TriMat.identity(rg, 3)
+    ident = TriMat.identity(2, 3)
     assert tri_inverse(ident) == ident
 
 
 def test_tri_inverse_2x2_negates_corner():
-    rg = ring()
-    c = rg.from_poly(P(2, 1, 1))
-    t = TriMat(rg, [[rg.one, c], [rg.zero, rg.one]])
+    c = P(2, 1, 1)
+    one, zero = DensePoly.one(2), DensePoly.zero(2)
+    t = TriMat(2, [[one, c], [zero, one]])
     inv = tri_inverse(t)
     assert inv.rows[0][1] == -c
-    assert t * inv == TriMat.identity(rg, 2)
+    assert t * inv == TriMat.identity(2, 2)
 
 
 def test_tri_inverse_transversal_degree_bound():
     # inverses of degree-bounded unitriangular matrices keep the bound
     rng = random.Random(23)
-    rg = ring()
     for _ in range(50):
-        t = transversal_style(rng, rg, 3)
+        t = transversal_style(rng, 2, 3)
         inv = tri_inverse(t)
-        assert t * inv == TriMat.identity(rg, 3)
+        assert t * inv == TriMat.identity(2, 3)
         for i in range(3):
             for j in range(i + 1, 3):
                 e = inv.rows[i][j]
-                assert e.is_poly
-                assert e.num.degree is NEG_INF or e.num.degree <= j - i - 1
+                assert e.degree is NEG_INF or e.degree <= j - i - 1
 
 
 def test_tri_inverse_props():
+    # the adjugate: t * adj(t) = adj(t) * t = det(t) I, and adj(adj(t)) =
+    # det(t)^(m-2) t; for unitriangular t it is the inverse
     rng = random.Random(29)
-    rg = ring()
-    for m in (2, 3, 4):
-        for _ in range(30):
-            t = random_unitriangular(rng, rg, m)
-            assert t * tri_inverse(t) == TriMat.identity(rg, m)
-            assert tri_inverse(tri_inverse(t)) == t
+    for p in (2, 3):
+        for m in (2, 3, 4):
+            for unit_diagonal in (True, False):
+                for _ in range(15):
+                    t = random_triangular(rng, p, m, unit_diagonal=unit_diagonal)
+                    adj = tri_inverse(t)
+                    d = det(t)
+                    assert t * adj == scalar(p, m, d) == adj * t
+                    assert tri_inverse(adj) == scalar(p, m, d ** (m - 2)) * t
 
 
 def test_trimat_mul_matches_naive_sum():
-    # the product skips zero factors and factors of one; against the plain
-    # sum over every k, on unitriangular matrices whose entries above the
-    # diagonal include 0, 1, units and fractions
+    # the product skips zero factors; against the plain sum over every k,
+    # on triangular matrices whose entries include 0, 1 and non-units
     rng = random.Random(19)
-    rg = ring(2)
-    x = rg.from_poly(DensePoly.x(2))
-    choices = [rg.zero, rg.one, x, rg.fraction(P(2, 1, 1), (1, 1)), rg.from_poly(P(2, 1, 0, 1))]
+    p = 2
+    zero = DensePoly.zero(p)
+    choices = [zero, DensePoly.one(p), DensePoly.x(p), P(2, 1, 1), P(2, 1, 0, 1)]
     for _ in range(30):
         m = rng.randrange(1, 5)
         a, b = (
-            TriMat(rg, [
-                [rg.one if i == j else rng.choice(choices) if j > i else rg.zero
+            TriMat(p, [
+                [rng.choice(choices[1:]) if i == j else rng.choice(choices) if j > i else zero
                  for j in range(m)]
                 for i in range(m)
             ])
             for _ in range(2)
         )
         naive = [
-            [sum((a.rows[i][k] * b.rows[k][j] for k in range(m)), rg.zero) for j in range(m)]
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(m)), zero) for j in range(m)]
             for i in range(m)
         ]
         assert (a * b).rows == tuple(map(tuple, naive))
-        assert a * tri_inverse(a) == TriMat.identity(rg, m) == tri_inverse(a) * a
+        assert a * tri_inverse(a) == scalar(p, m, det(a)) == tri_inverse(a) * a
 
 
 def test_trimat_rejects_lower_entries():
-    # below the diagonal only zeros, on it only ones: a unit, a non-unit
-    # and zero on the diagonal are all rejected
-    rg = ring()
+    # below the diagonal only zeros, on it no zero; any nonzero diagonal
+    # entry is accepted
+    one, zero, x = DensePoly.one(2), DensePoly.zero(2), DensePoly.x(2)
     with pytest.raises(ValueError):
-        TriMat(rg, [[rg.one, rg.zero], [rg.one, rg.one]])
-    for d in (rg.from_poly(DensePoly.x(2)), rg.from_poly(P(2, 1, 1)), rg.zero):
-        with pytest.raises(ValueError):
-            TriMat(rg, [[d, rg.one], [rg.zero, rg.one]])
+        TriMat(2, [[one, zero], [one, one]])
+    with pytest.raises(ValueError):
+        TriMat(2, [[zero, one], [zero, one]])
+    with pytest.raises(ValueError):
+        TriMat(2, [[one, one], [zero]])
+    assert TriMat(2, [[x, one], [zero, P(2, 1, 1)]]).rows[0][0] == x
 
 
 # -- rho -----------------------------------------------------------------------
