@@ -2,8 +2,11 @@
 
 An *instance* packages a group G, a finite-index subgroup H with a right
 transversal t_0, ..., t_{m-1} (t_0 in H), and a homomorphism f defined on
-H.  Every group element then acts on the rooted m-ary tree through its
-wreath decomposition
+H only: `endo_f` raises `NotInH` outside H.  The default decomposition
+calls `split` and `endo_f` once per letter, so f itself is the one
+membership test of each cofactor; `h_member` serves the exhaustive coset
+search and the validators.  Every group element then acts on the rooted
+m-ary tree through its wreath decomposition
 
     g = (g_0, ..., g_{m-1}) sigma,
 
@@ -37,6 +40,10 @@ from functools import cached_property
 
 class ContractViolation(RuntimeError):
     """An instance broke the transversal/membership/endomorphism contract."""
+
+
+class NotInH(ValueError):
+    """The endomorphism was applied outside its domain subgroup."""
 
 
 class Perm:
@@ -114,16 +121,19 @@ class Instance(ABC):
 
     A family must provide the abstract members: `degree`,
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
-    `endo_f`, `generators` and `render`.  It may override `coset_index`
-    with a closed form (`coset_index_exhaustive` stays the oracle);
-    `letters`, the level permutation images and states of g that
-    `decompose` asks for (the default walks the transversal with `split`,
-    `h_member` and `endo_f`, and stays the oracle of a closed form);
-    `split`, which the default `letters` calls once per letter for the
-    coset index j of t * g and the cofactor t * g * t_j^{-1} (the default
-    multiplies by the stored t_j^{-1}; a family whose coset search yields
-    the cofactor returns it directly); `random_element` with a sampler of
-    its own (the default is a random generator word); and `describe`.
+    `endo_f`, `generators` and `render`.  `endo_f` is the partial map f:
+    it raises `NotInH` off H, so it is the one membership test per letter
+    of a decomposition; `h_member` serves the exhaustive coset search and
+    the validators.  A family may override `coset_index` with a closed
+    form (`coset_index_exhaustive` stays the oracle); `letters`, the level
+    permutation images and states of g that `decompose` asks for (the
+    default walks the transversal with `split` and `endo_f`, and stays the
+    oracle of a closed form); `split`, which the default `letters` calls
+    once per letter for the coset index j of t * g and the cofactor
+    t * g * t_j^{-1} (the default multiplies by the stored t_j^{-1}; a
+    family whose coset search yields the cofactor returns it directly);
+    `random_element` with a sampler of its own (the default is a random
+    generator word); and `describe`.
     The verify suites also need `random_h_element`, a random element of H.
     """
 
@@ -163,7 +173,7 @@ class Instance(ABC):
 
     @abstractmethod
     def endo_f(self, g):
-        """The virtual endomorphism; defined when h_member(g) holds."""
+        """The virtual endomorphism f(g); raises NotInH unless h_member(g)."""
 
     @abstractmethod
     def generators(self) -> dict:
@@ -181,16 +191,23 @@ class Instance(ABC):
     def transversal_inverses(self) -> tuple:
         return tuple(self.invert(t) for t in self.transversal)
 
+    def coset_hits(self, g):
+        """The indices j with g * t_j^{-1} in H, in order: for a valid
+        transversal exactly one."""
+        for j, tinv in enumerate(self.transversal_inverses):
+            if self.h_member(self.multiply(g, tinv)):
+                yield j
+
     def coset_index_exhaustive(self, g) -> int:
-        """Index j with g in H t_j, by searching the whole transversal.
+        """Index j with g in H t_j, the first of `coset_hits`.
 
         This is the reference implementation; families may override
         `coset_index` with a closed form, and this remains the oracle.
         """
-        for j, tinv in enumerate(self.transversal_inverses):
-            if self.h_member(self.multiply(g, tinv)):
-                return j
-        raise ContractViolation("element lies in no transversal coset")
+        j = next(self.coset_hits(g), None)
+        if j is None:
+            raise ContractViolation("element lies in no transversal coset")
+        return j
 
     def coset_index(self, g) -> int:
         return self.coset_index_exhaustive(g)
@@ -207,14 +224,13 @@ class Instance(ABC):
         lies outside H."""
         images = []
         states = []
-        for t in self.transversal:
+        for i, t in enumerate(self.transversal):
             j, cof = self.split(self.multiply(t, g))
-            if not self.h_member(cof):
-                raise ContractViolation(
-                    f"cofactor at letter {len(images)} fails subgroup membership"
-                )
+            try:
+                states.append(self.endo_f(cof))
+            except NotInH:
+                raise ContractViolation(f"cofactor at letter {i} fails subgroup membership") from None
             images.append(j)
-            states.append(self.endo_f(cof))
         return images, states
 
     def random_word(self, rng, length: int):
@@ -234,15 +250,19 @@ class Instance(ABC):
         return self.random_word(rng, length)
 
     def elem_pow(self, g, k: int):
+        """g^k by left-to-right binary powering: for k != 0, one squaring
+        per bit after the top one and one product by g per further set
+        bit."""
         if k < 0:
             g = self.invert(g)
             k = -k
-        out = self.identity()
-        while k:
-            if k & 1:
+        if not k:
+            return self.identity()
+        out = g
+        for bit in bin(k)[3:]:
+            out = self.multiply(out, out)
+            if bit == "1":
                 out = self.multiply(out, g)
-            g = self.multiply(g, g)
-            k >>= 1
         return out
 
     @cached_property
@@ -457,29 +477,16 @@ def states_within(inst: Instance, g, cap: int, member) -> bool:
 
 
 def transversal_validate(inst: Instance, sample=()) -> bool:
-    """Check that the transversal represents pairwise distinct cosets,
-    that t_0 lies in the subgroup, and that coset_index is consistent
-    with membership on the transversal and on the given sample."""
+    """Check that t_0 lies in the subgroup, that each t_i lies in exactly
+    the coset H t_i (so the cosets are pairwise distinct) and has
+    coset_index i, and that each sample element lies in exactly the coset
+    its coset_index names."""
     ts = inst.transversal
-    if len(ts) != inst.degree:
+    if len(ts) != inst.degree or not inst.h_member(ts[0]):
         return False
-    if not inst.h_member(ts[0]):
-        return False
-    for i, t in enumerate(ts):
-        if inst.coset_index(t) != i:
-            return False
-    for i in range(len(ts)):
-        for j in range(len(ts)):
-            if i != j and inst.h_member(inst.multiply(ts[i], inst.transversal_inverses[j])):
-                return False
-    for g in sample:
+    for i, g in enumerate(ts + tuple(sample)):
         j = inst.coset_index(g)
-        hits = [
-            k
-            for k in range(len(ts))
-            if inst.h_member(inst.multiply(g, inst.transversal_inverses[k]))
-        ]
-        if hits != [j]:
+        if (i < len(ts) and j != i) or list(inst.coset_hits(g)) != [j]:
             return False
     return True
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..ring import DensePoly
+from ..ring import DensePoly, check_keys
 
 
 class InstanceConfigError(ValueError):
@@ -39,14 +39,23 @@ MAX_POLY_DEGREE = 64
 # its terms; it also bounds every exponent in a Borel literal.
 MAX_WORD_LENGTH = 256
 
+# The keys each family's config takes besides "family" and "p".
+CONFIG_KEYS = {
+    "borel": {"m", "polys"},
+    "affine": {"n"},
+    "lamplighter": {"polys", "n"},
+    "wreath": {"d", "g", "localized"},
+}
+
 
 def load_config(source):
     """Build an instance from a config dict, JSON text, or file path.
 
     Schema: {"family": "borel"|"affine"|"lamplighter"|"wreath", "p": int,
     "m"|"n"|"d": int, "polys": [[coeffs]...], "g": [coeffs],
-    "localized": bool}.  The instance's degree must not exceed MAX_DEGREE,
-    nor a polynomial's degree MAX_POLY_DEGREE.
+    "localized": bool}, with only the keys in CONFIG_KEYS for the family,
+    and "g" only with "localized": true.  The instance's degree must not
+    exceed MAX_DEGREE, nor a polynomial's degree MAX_POLY_DEGREE.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -67,6 +76,9 @@ def load_config(source):
         return value
 
     family = data.get("family")
+    if not isinstance(family, str) or family not in CONFIG_KEYS:
+        raise InstanceConfigError(f"unknown family: {family!r}")
+    check_keys(data, CONFIG_KEYS[family] | {"family", "p"}, f"the {family} config", InstanceConfigError)
     p = integer("p", "config key 'p' must be an integer")
     if p > MAX_DEGREE:
         raise InstanceConfigError(f"p = {p} exceeds the degree bound {MAX_DEGREE}")
@@ -108,20 +120,19 @@ def load_config(source):
         if "n" in data and integer("n", "lamplighter config key 'n' must be an integer") != len(ps):
             raise InstanceConfigError("'n' disagrees with the number of basis polynomials")
         inst = LampInstance(p, ps)
-    elif family == "wreath":
+    else:
         from .wreath import WreathInstance
 
         d = integer("d", "wreath config requires integer 'd'")
         if d > MAX_DEGREE:
             raise InstanceConfigError(f"rank d = {d} exceeds the bound {MAX_DEGREE}")
-        g = data.get("g")
-        gpoly = poly(g, "g") if g is not None else None
         localized = data.get("localized", False)
         if type(localized) is not bool:
             raise InstanceConfigError("wreath config key 'localized' must be true or false")
+        if "g" in data and not localized:
+            raise InstanceConfigError("wreath config key 'g' needs \"localized\": true")
+        gpoly = poly(data["g"], "g") if "g" in data else None
         inst = WreathInstance(p, d, g=gpoly, localized=localized)
-    else:
-        raise InstanceConfigError(f"unknown family: {family!r}")
     if inst.degree > MAX_DEGREE:
         raise InstanceConfigError(
             f"degree {inst.degree} exceeds the enumeration bound {MAX_DEGREE}"

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import warnings
 
-from ..engine import Instance, states_within
+from ..engine import Instance, NotInH, states_within
 from ..matrix import PolyMat, apply_A, conj_by_A, rho
-from ..ring import DensePoly, is_prime
+from ..ring import DensePoly, check_keys, is_prime
 from . import InstanceConfigError
 
 
@@ -88,6 +88,7 @@ class AffineInstance(Instance):
 
     def from_literal(self, data: dict) -> AffineElem:
         """Element from {"v": [[coeffs], ...], "b": [[[coeffs], ...], ...]}."""
+        check_keys(data, {"v", "b"}, "an affine literal")
         v = [DensePoly.from_json(self.p, c) for c in data.get("v", [[]] * self.n)]
         b = PolyMat.from_json(self.p, data["b"]) if "b" in data else PolyMat.identity(self.p, self.n)
         return self.make_element(v, b)
@@ -125,6 +126,8 @@ class AffineInstance(Instance):
         return g.v[0].eval(1) == 0
 
     def endo_f(self, g: AffineElem) -> AffineElem:
+        if not self.h_member(g):
+            raise NotInH("first coordinate is not divisible by x-1")
         return AffineElem(apply_A(g.v), conj_by_A(g.b))
 
     def coset_index(self, g: AffineElem) -> int:

@@ -37,14 +37,14 @@ import itertools
 from functools import cached_property
 from operator import add, sub
 
-from ..engine import ContractViolation, Instance, decompose, states_within
+from ..engine import ContractViolation, Instance, NotInH, decompose, states_within
 from ..matrix import TriMat, sum_of_products, tri_inverse
 from ..ring import (
     DensePoly,
     LocalizedRing,
-    NotDivisible,
     SFraction,
     canonicalize,
+    check_keys,
     validate_config,
 )
 from . import MAX_WORD_LENGTH, InstanceConfigError
@@ -133,6 +133,7 @@ class BorelInstance(Instance):
         diagonal units c * prod f_k^{exps_k}, c nonzero mod p.  Both keys
         are optional; no exponent may exceed MAX_WORD_LENGTH in size."""
         m, n, p, ring = self.m, self.n, self.p, self.ring
+        check_keys(data, {"n", "d"}, "a borel literal")
         raw_n = data.get("n", [[[]] * m] * m)
         if not (isinstance(raw_n, list) and len(raw_n) == m and all(
             isinstance(row, list) and len(row) == m and row[:i + 1] == [[]] * (i + 1)
@@ -147,6 +148,7 @@ class BorelInstance(Instance):
         for u in raw_d:
             if not isinstance(u, dict):
                 raise ValueError(shape)
+            check_keys(u, {"c", "exps"}, "a 'd' entry")
             c, exps = u.get("c", 1), u.get("exps", [0] * n)
             if type(c) is not int or not isinstance(exps, list) or any(type(e) is not int for e in exps):
                 raise ValueError(shape)
@@ -210,16 +212,9 @@ class BorelInstance(Instance):
         exps = tuple(tuple(map(sub, total, e)) for e in a.exps)
         return self._element(tri_inverse(a.mat), exps)
 
-    def h_member(self, g: BorelElem) -> bool:
-        pivot_pow = self.ring.pivot_pow
-        for i, row in enumerate(g.mat.rows):
-            for j in range(i + 1, self.m):
-                e = row[j]
-                if not e.is_zero and not (e % pivot_pow(j - i)).is_zero:
-                    return False
-        return True
-
-    def endo_f(self, g: BorelElem) -> BorelElem:
+    def _endo_rows(self, g: BorelElem):
+        """The rows of M with each entry (i, j) divided by (x-1)^(j-i), or
+        None at the first division that leaves a remainder (g off H)."""
         pivot_pow = self.ring.pivot_pow
         rows = [list(row) for row in g.mat.rows]
         for i, row in enumerate(rows):
@@ -227,7 +222,16 @@ class BorelInstance(Instance):
                 if not row[j].is_zero:
                     row[j], r = divmod(row[j], pivot_pow(j - i))
                     if not r.is_zero:
-                        raise NotDivisible(f"entry ({i}, {j}) is not divisible by (x-1)^{j - i}")
+                        return None
+        return rows
+
+    def h_member(self, g: BorelElem) -> bool:
+        return self._endo_rows(g) is not None
+
+    def endo_f(self, g: BorelElem) -> BorelElem:
+        rows = self._endo_rows(g)
+        if rows is None:
+            raise NotInH("an entry (i, j) is not divisible by (x-1)^(j-i)")
         return BorelElem(TriMat._raw(self.p, rows), g.exps)
 
     def coset_index(self, g: BorelElem) -> int:

@@ -27,7 +27,7 @@ For p = 2, n = 1 this is the classical two-state lamplighter machine.
 
 from __future__ import annotations
 
-from ..engine import Instance, Perm, WreathDecomp, decompose, states_within
+from ..engine import Instance, NotInH, Perm, WreathDecomp, decompose, states_within
 from ..ring import (
     DensePoly,
     LocalizedRing,
@@ -99,6 +99,8 @@ class LampInstance(Instance):
         return eval_at_one(g.r) == 0
 
     def endo_f(self, g: LampElem) -> LampElem:
+        if not self.h_member(g):
+            raise NotInH("exponent does not vanish at 1")
         return LampElem(divide_exact(g.r, 1), g.q)
 
     def coset_index(self, g: LampElem) -> int:

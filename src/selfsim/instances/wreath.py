@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from operator import add, neg
 
-from ..engine import ContractViolation, Instance
+from ..engine import ContractViolation, Instance, NotInH
 from ..ring import (
     DensePoly,
     MultiLaurent,
@@ -69,10 +69,6 @@ from ..ring import (
     is_prime,
 )
 from . import InstanceConfigError
-
-
-class NotInH(ValueError):
-    """The endomorphism was applied outside its domain subgroup."""
 
 
 class WreathElem:

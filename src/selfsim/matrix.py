@@ -1,6 +1,8 @@
 """Exact matrices over the ring layer.
 
-Two matrix flavors are used by the instance families:
+Two matrix flavors, sharing one small base (``_SquareMat``: trusted
+construction, the identity, equality and rendering), are used by the
+instance families:
 
 * upper-triangular matrices over F_p[x] (``TriMat``), the normalized
   representatives of the triangular matrix groups' elements, inverted
@@ -29,9 +31,10 @@ from operator import mul
 from .ring import NEG_INF, DensePoly, NotDivisible, NotInvertible
 
 
-class TriMat:
-    """An upper-triangular square matrix over F_p[x] with no zero on the
-    diagonal."""
+class _SquareMat:
+    """A square matrix over F_p[x] stored as a tuple of row tuples.  Two
+    matrices are equal when they have the same class and the same rows, so
+    a TriMat never equals a PolyMat."""
 
     __slots__ = ("p", "size", "rows", "_hash")
 
@@ -39,42 +42,24 @@ class TriMat:
         self.p = p
         self.rows = tuple(tuple(row) for row in rows)
         self.size = len(self.rows)
-        for i, row in enumerate(self.rows):
-            if len(row) != self.size:
-                raise ValueError("non-square matrix")
-            for j in range(i):
-                if not row[j].is_zero:
-                    raise ValueError("entry below the diagonal is nonzero")
-            if row[i].is_zero:
-                raise ValueError("zero on the diagonal")
         self._hash = None
+        if any(len(row) != self.size for row in self.rows):
+            raise ValueError("non-square matrix")
 
     @classmethod
-    def _raw(cls, p: int, rows) -> "TriMat":
-        """Internal: rows square and upper-triangular by construction."""
+    def _raw(cls, p: int, rows):
+        """Internal: rows valid for cls by construction."""
         out = cls.__new__(cls)
         out.p, out.rows, out.size, out._hash = p, tuple(map(tuple, rows)), len(rows), None
         return out
 
-    @staticmethod
-    def identity(p: int, size: int) -> "TriMat":
+    @classmethod
+    def identity(cls, p: int, size: int):
         one, zero = DensePoly.one(p), DensePoly.zero(p)
-        return TriMat._raw(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    def __mul__(self, other: "TriMat") -> "TriMat":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n, p = self.size, self.p
-        zero = DensePoly.zero(p)
-        out = [[zero] * n for _ in range(n)]
-        a, b = self.rows, other.rows
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
-        return TriMat._raw(p, out)
+        return cls._raw(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TriMat) and self.rows == other.rows
+        return other.__class__ is self.__class__ and self.rows == other.rows
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -87,7 +72,34 @@ class TriMat:
         ) + "]"
 
     def __repr__(self) -> str:
-        return f"TriMat({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
+
+
+class TriMat(_SquareMat):
+    """An upper-triangular square matrix over F_p[x] with no zero on the
+    diagonal."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, rows):
+        super().__init__(p, rows)
+        for i, row in enumerate(self.rows):
+            if any(not e.is_zero for e in row[:i]):
+                raise ValueError("entry below the diagonal is nonzero")
+            if row[i].is_zero:
+                raise ValueError("zero on the diagonal")
+
+    def __mul__(self, other: "TriMat") -> "TriMat":
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        n, p = self.size, self.p
+        zero = DensePoly.zero(p)
+        out = [[zero] * n for _ in range(n)]
+        a, b = self.rows, other.rows
+        for i in range(n):
+            for j in range(i, n):
+                out[i][j] = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
+        return TriMat._raw(p, out)
 
 
 def sum_of_products(p: int, pairs) -> DensePoly:
@@ -125,57 +137,23 @@ def tri_inverse(t: TriMat) -> TriMat:
     return TriMat._raw(p, b)
 
 
-class PolyMat:
+class PolyMat(_SquareMat):
     """A square matrix over F_p[x]."""
 
-    __slots__ = ("p", "size", "rows", "_hash")
-
-    def __init__(self, p: int, rows):
-        self.p = p
-        self.rows = tuple(tuple(row) for row in rows)
-        self.size = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.size:
-                raise ValueError("non-square matrix")
-        self._hash = None
-
-    @staticmethod
-    def identity(p: int, size: int) -> "PolyMat":
-        one, zero = DensePoly.one(p), DensePoly.zero(p)
-        return PolyMat(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
+    __slots__ = ()
 
     def __mul__(self, other: "PolyMat") -> "PolyMat":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        zero = DensePoly.zero(self.p)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    x = self.rows[i][k]
-                    y = other.rows[k][j]
-                    if not (x.is_zero or y.is_zero):
-                        acc = acc + x * y
-                row.append(acc)
-            out.append(row)
-        return PolyMat(self.p, out)
+        n, p, a, b = self.size, self.p, self.rows, other.rows
+        return PolyMat._raw(p, [
+            [sum_of_products(p, ((a[i][k], b[k][j]) for k in range(n))) for j in range(n)]
+            for i in range(n)
+        ])
 
     def apply(self, v):
         """Matrix-vector product, v a sequence of polynomials (a column)."""
-        n = self.size
-        zero = DensePoly.zero(self.p)
-        out = []
-        for i in range(n):
-            acc = zero
-            for k in range(n):
-                x = self.rows[i][k]
-                if not (x.is_zero or v[k].is_zero):
-                    acc = acc + x * v[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum_of_products(self.p, zip(row, v)) for row in self.rows)
 
     def det(self) -> DensePoly:
         """Determinant by Laplace expansion (desk-scale sizes)."""
@@ -189,7 +167,7 @@ class PolyMat:
         dinv = pow(d.coeffs[0], self.p - 2, self.p)
         n = self.size
         if n == 1:
-            return PolyMat(self.p, [[DensePoly.constant(self.p, dinv)]])
+            return PolyMat._raw(self.p, [[DensePoly.constant(self.p, dinv)]])
         out = [[None] * n for _ in range(n)]
         idx = tuple(range(n))
         for i in range(n):
@@ -197,28 +175,12 @@ class PolyMat:
             for j in range(n):
                 minor = _laplace_det(self.p, rows, idx[:j] + idx[j + 1 :])
                 out[j][i] = minor.mul_scalar(dinv if (i + j) % 2 == 0 else -dinv % self.p)
-        return PolyMat(self.p, out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyMat) and self.p == other.p and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
+        return PolyMat._raw(self.p, out)
 
     @staticmethod
     def from_json(p: int, data) -> "PolyMat":
         """From rows of coefficient lists, JSON integers only."""
         return PolyMat(p, [[DensePoly.from_json(p, e) for e in row] for row in data])
-
-    def render(self) -> str:
-        return "[" + ",".join(
-            "[" + ",".join(e.render() for e in row) + "]" for row in self.rows
-        ) + "]"
-
-    def __repr__(self) -> str:
-        return f"PolyMat({self.render()})"
 
 
 def _laplace_det(p: int, rows, cols) -> DensePoly:
@@ -276,7 +238,7 @@ def conj_by_A(b: PolyMat) -> PolyMat:
             elif j == n - 1 and i != n - 1:
                 entry = entry * pivot
             out[i][j] = entry
-    return PolyMat(p, out)
+    return PolyMat._raw(p, out)
 
 
 def apply_A(v) -> tuple:

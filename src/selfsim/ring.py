@@ -62,6 +62,14 @@ class NotInvertible(ArithmeticError):
     """Inverse of a non-unit was requested."""
 
 
+def check_keys(data: dict, allowed, what: str, error=ValueError) -> None:
+    """Raise `error` when the JSON object data has a key outside allowed,
+    so that no key is silently ignored."""
+    extra = sorted(map(str, data.keys() - allowed))
+    if extra:
+        raise error(f"{what} takes no key {extra[0]!r}")
+
+
 class DenominatorVanishes(ArithmeticError):
     """A denominator basis polynomial vanishes at the evaluation point."""
 
@@ -487,6 +495,7 @@ class SFraction(_LocalFraction):
         integers only."""
         if not isinstance(data, dict):
             return ring.from_poly(DensePoly.from_json(ring.p, data))
+        check_keys(data, {"num", "den"}, "a fraction")
         den = data.get("den", [0] * ring.n)
         if not isinstance(den, list) or any(type(e) is not int for e in den):
             raise ValueError("'den' must be a list of integers")

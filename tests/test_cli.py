@@ -178,11 +178,22 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({**LAMP_F2, "polys": [[0, 1], [1] * 200 + [1]]}, EXIT_INVALID),
         ({"family": "borel", "p": 4093, "m": 2, "polys": [[0, 1], [1] * 65 + [1]]}, EXIT_INVALID),
         ({**WREATH_F2, "g": [1] * 66}, EXIT_INVALID),
+        ({"family": "wreath", "p": 2, "d": 2, "locallized": True, "g": [1, 1]}, EXIT_INVALID),
+        ({"family": "wreath", "p": 2, "d": 2, "g": [1, 1]}, EXIT_INVALID),
+        ({"family": "wreath", "p": 2, "d": 2, "g": [1, 1], "localized": False}, EXIT_INVALID),
+        ({"family": "borel", "p": 2, "m": 2, "polys": [[0, 1]], "n": 2}, EXIT_INVALID),
+        ({"family": "affine", "p": 2, "n": 3, "polys": [[0, 1]]}, EXIT_INVALID),
+        ({**LAMP_F2, "polys": [[0, 1]], "m": 2}, EXIT_INVALID),
+        ({**LAMP_F2, "polys": [[0, 1]], "P": 2}, EXIT_INVALID),
+        ({"family": ["wreath"], "p": 2}, EXIT_INVALID),
     ],
     ids=[
         "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
         "bool-d", "string-localized", "bool-n", "huge-p", "huge-degree", "huge-borel-m",
         "huge-wreath-d", "huge-poly-degree", "huge-borel-poly-degree", "huge-g-degree",
+        "wreath-misspelt-key", "wreath-g-unlocalized", "wreath-g-localized-false",
+        "borel-extra-key", "affine-extra-key", "lamplighter-extra-key", "wrong-case-key",
+        "list-family",
     ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
@@ -224,11 +235,15 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
         '{"d": [{"c": 2}, {}]}',
         '{"d": [{"c": 1, "exps": [100000000, 0]}, {}]}',
         '{"n": [[[], {"num": [1], "den": [0, 257]}], [[], []]]}',
+        '{"D": [{"c": 1, "exps": [1, 0]}, {}]}',
+        '{"d": [{"c": 1, "exp": [1, 0]}, {}]}',
+        '{"n": [[[], {"num": [1], "dem": [1, 0]}], [[], []]]}',
     ],
     ids=[
         "non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps",
         "filled-lower-cells", "short-n", "long-n", "long-row", "zero-diagonal-cell",
         "one-diagonal-cell", "scalar-n", "short-exps", "c-zero-mod-p", "huge-exp", "huge-den",
+        "unknown-key", "unknown-d-key", "unknown-fraction-key",
     ],
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
@@ -250,10 +265,11 @@ def test_decompose_bad_borel_literal_one_line_error(capsys, literal):
         ("affine_n3_p2.json", '{"v": [["1"], [], [1.5]]}'),
         ("affine_n3_p2.json", '{"v": [[1], [], 7]}'),
         ("affine_n3_p2.json", '{"b": [[[1], [], []], [[], [1], []], [[], [], [1.0]]]}'),
+        ("affine_n3_p2.json", '{"v": [[1], [], []], "B": []}'),
     ],
     ids=[
         "borel-float", "borel-string", "borel-string-cell", "borel-bool-num", "borel-float-den",
-        "affine-string-float", "affine-scalar", "affine-float-matrix",
+        "affine-string-float", "affine-scalar", "affine-float-matrix", "affine-unknown-key",
     ],
 )
 def test_decompose_literal_non_integer_one_line_error(capsys, config, literal):

@@ -3,6 +3,7 @@ deliberately broken test doubles for the negative controls."""
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from selfsim.engine import (
     CapExceeded,
     ContractViolation,
     MealyAutomaton,
+    NotInH,
     Perm,
     act_on_word,
     decompose,
@@ -22,6 +24,7 @@ from selfsim.engine import (
     transversal_validate,
 )
 from selfsim.instances import load_config
+from selfsim.instances.borel import BorelInstance
 from selfsim.instances.lamplighter import LampInstance
 from selfsim.ring import DensePoly
 
@@ -288,6 +291,54 @@ def test_transversal_validate_rejects_duplicates():
     assert not transversal_validate(inst)
 
 
+class _RotatedTransversal(LampInstance):
+    """Transversal u, u^2, ..., u^{p-1}, e with a coset map to match, so
+    that only t_0 = u lying outside H is wrong."""
+
+    def _build_transversal(self):
+        base = super()._build_transversal()
+        return base[1:] + base[:1]
+
+    def coset_index(self, g):
+        return (super().coset_index(g) - 1) % self.p
+
+
+def test_transversal_validate_rejects_t0_outside_h():
+    inst = _RotatedTransversal(3, [DensePoly.x(3)])
+    ts = inst.transversal
+    assert [inst.coset_index(t) for t in ts] == [inst.coset_index_exhaustive(t) for t in ts] == [0, 1, 2]
+    assert not inst.h_member(ts[0])
+    assert not transversal_validate(inst)
+
+
+class _ShiftedCosetIndex(LampInstance):
+    def coset_index(self, g):
+        return (super().coset_index(g) + 1) % self.p
+
+
+def test_transversal_validate_rejects_wrong_index_on_transversal():
+    inst = _ShiftedCosetIndex(3, [DensePoly.x(3)])
+    assert inst.coset_index(inst.transversal[0]) == 1
+    assert not transversal_validate(inst)
+
+
+class _WrongOffTransversal(LampInstance):
+    """Right on u^i, one coset off on every element with a Z^n part."""
+
+    def coset_index(self, g):
+        return (super().coset_index(g) + any(g.q)) % self.p
+
+
+def test_transversal_validate_rejects_sample_disagreeing_with_search():
+    inst = _WrongOffTransversal(3, [DensePoly.x(3)])
+    x0 = inst.generators()["x0"]
+    u = inst.generators()["u"]
+    assert transversal_validate(inst)
+    assert transversal_validate(inst, [u, inst.multiply(u, u)])
+    assert inst.coset_index(x0) != inst.coset_index_exhaustive(x0)
+    assert not transversal_validate(inst, [u, x0])
+
+
 # -- transitivity ------------------------------------------------------------------
 
 
@@ -373,6 +424,95 @@ def test_equal_elements_have_equal_hashes(config):
         assert again == g == other
         assert hash(again) == hash(g) == hash(other)
         assert len({g, again, other}) == 1
+
+
+def _endo_defined(inst, g) -> bool:
+    try:
+        inst.endo_f(g)
+    except NotInH:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_endo_f_raises_not_in_h_exactly_off_h(config):
+    # f is the partial map on H: h_member(g) holds exactly when endo_f(g)
+    # does not raise NotInH, on elements drawn inside and outside H
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(31)
+    sample = [inst.random_h_element(rng) for _ in range(8)]
+    sample += [inst.random_element(rng) for _ in range(8)]
+    sample += [inst.multiply(t, g) for t in inst.transversal[1:4] for g in sample[:4]]
+    members = [inst.h_member(g) for g in sample]
+    assert True in members and False in members
+    assert [_endo_defined(inst, g) for g in sample] == members
+
+
+class _CountingBorel(BorelInstance):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = Counter()
+
+    def h_member(self, g):
+        self.calls["h_member"] += 1
+        return super().h_member(g)
+
+    def endo_f(self, g):
+        self.calls["endo_f"] += 1
+        return super().endo_f(g)
+
+
+def test_decompose_tests_h_once_per_letter_through_endo_f():
+    inst = _CountingBorel(2, 3, [DensePoly.x(2), P(2, 1, 1, 1)])
+    g = inst.random_element(random.Random(37), 6)
+    assert inst.degree == 16
+    decompose(inst, g)
+    assert inst.calls == {"endo_f": 16}
+
+
+def _counting_products(inst):
+    """inst, re-classed so that it counts its `multiply` calls."""
+    base = type(inst)
+
+    class Counting(base):
+        products = 0
+
+        def multiply(self, a, b):
+            self.products += 1
+            return base.multiply(self, a, b)
+
+    inst.__class__ = Counting
+    return inst
+
+
+def test_elem_pow_makes_one_product_per_bit():
+    # one squaring per bit after the top one, one product per further set bit
+    inst = _counting_products(load_config(CONFIGS / "borel_m3_p2.json"))
+    g = inst.generators()["x1_1"]
+
+    def products(k):
+        inst.products = 0
+        inst.elem_pow(g, k)
+        return inst.products
+
+    assert products(256) == 8
+    for k in (1, 2, 3, 255, -255):
+        assert products(k) == abs(k).bit_length() - 1 + bin(k).count("1") - 1, k
+    assert products(0) == 0
+
+
+@pytest.mark.parametrize(
+    "config", ["borel_m2_p2", "affine_n3_p2", "lamplighter_p3_n2", "wreath_localized_p2_d2"]
+)
+def test_elem_pow_matches_repeated_products(config):
+    inst = load_config(CONFIGS / f"{config}.json")
+    g = inst.random_element(random.Random(41))
+    assert g != inst.identity()
+    for base in (g, inst.invert(g)):
+        acc = inst.identity()
+        for k in range(21):
+            assert inst.elem_pow(g, k if base is g else -k) == acc
+            acc = inst.multiply(acc, base)
 
 
 # -- random sampling -------------------------------------------------------------

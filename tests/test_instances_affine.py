@@ -6,11 +6,11 @@ import warnings
 
 import pytest
 
-from selfsim.engine import decompose, product_rule_check, transversal_validate
+from selfsim.engine import NotInH, decompose, product_rule_check, transversal_validate
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.affine import AffineElem, AffineInstance
 from selfsim.matrix import PolyMat, conj_by_A, rho
-from selfsim.ring import DensePoly, NotDivisible
+from selfsim.ring import DensePoly
 
 
 def make(n=3, p=2):
@@ -95,7 +95,7 @@ def test_endo_requires_v0_membership():
     inst = make()
     v = (DensePoly.one(2),) + (DensePoly.zero(2),) * 2
     g = AffineElem(v, PolyMat.identity(2, 3))
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotInH):
         inst.endo_f(g)
 
 

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from selfsim.engine import decompose, product_rule_check, transversal_validate
+from selfsim.engine import NotInH, decompose, product_rule_check, transversal_validate
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.borel import BorelInstance
-from selfsim.ring import DensePoly, NotDivisible
+from selfsim.ring import DensePoly
 
 
 def P(p, *coeffs):
@@ -114,7 +114,7 @@ def test_endo_fixes_scalar_center():
 
 def test_endo_raises_off_h():
     inst = make(2, 2)
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotInH):
         inst.endo_f(_elementary(inst, 0, 1, DensePoly.one(2)))
 
 

@@ -331,3 +331,29 @@ def test_polymat_inverse_rejects_nonconstant_det():
     m = PolyMat(p, [[DensePoly.x(p), DensePoly.zero(p)], [DensePoly.zero(p), DensePoly.one(p)]])
     with pytest.raises(NotInvertible):
         m.inverse_gl()
+
+
+def test_polymat_mul_and_apply_match_naive_sums():
+    # products over every k, zero factors included, against sum_of_products
+    rng = random.Random(53)
+    for p in (2, 3):
+        zero = DensePoly.zero(p)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                a, b = (PolyMat(p, [[random_poly(rng, p, 2) for _ in range(n)] for _ in range(n)])
+                        for _ in range(2))
+                v = tuple(random_poly(rng, p, 2) for _ in range(n))
+                naive = [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero)
+                          for j in range(n)] for i in range(n)]
+                assert a * b == PolyMat(p, naive)
+                assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), zero) for row in a.rows)
+
+
+def test_trimat_and_polymat_never_compare_equal():
+    for p in (2, 3):
+        for n in (1, 2, 3):
+            t, m = TriMat.identity(p, n), PolyMat.identity(p, n)
+            assert t.rows == m.rows
+            assert t != m and m != t
+            assert (type(t), type(m)) == (TriMat, PolyMat)
+            assert repr(t).startswith("TriMat(") and repr(m).startswith("PolyMat(")
