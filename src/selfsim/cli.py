@@ -29,7 +29,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config
+from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config, parse_json
 from .engine import CapExceeded, decompose, portrait, states_bfs
 from .ring import NotInvertible
 from .verify import SUITES, run_suite
@@ -72,8 +72,8 @@ def parse_expr(text: str) -> ElementExpr:
         raise ExprError("empty expression")
     if text.startswith("{"):
         try:
-            return ElementExpr(literal=json.loads(text))
-        except json.JSONDecodeError as exc:
+            return ElementExpr(literal=parse_json(text))
+        except ValueError as exc:
             raise ExprError(f"bad JSON literal: {exc}") from exc
     terms = []
     for token in text.replace("*", " ").split():

@@ -123,17 +123,18 @@ class Instance(ABC):
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
     `endo_f`, `generators` and `render`.  `endo_f` is the partial map f:
     it raises `NotInH` off H, so it is the one membership test per letter
-    of a decomposition; `h_member` serves the exhaustive coset search and
-    the validators.  A family may override `coset_index` with a closed
-    form (`coset_index_exhaustive` stays the oracle); `letters`, the level
-    permutation images and states of g that `decompose` asks for (the
-    default walks the transversal with `split` and `endo_f`, and stays the
-    oracle of a closed form); `split`, which the default `letters` calls
-    once per letter for the coset index j of t * g and the cofactor
-    t * g * t_j^{-1} (the default multiplies by the stored t_j^{-1}; a
-    family whose coset search yields the cofactor returns it directly);
-    `random_element` with a sampler of its own (the default is a random
-    generator word); and `describe`.
+    of the generic decomposition; `h_member` serves the exhaustive coset
+    search and the validators.  A family may override `coset_index` with a
+    closed form (`coset_index_exhaustive` stays the oracle); `letters`,
+    the level permutation images and states of g that `decompose` asks
+    for (the default walks the transversal with `split` and `endo_f`;
+    every shipped family overrides it with a closed form that makes no
+    group product, and the default stays its oracle); `split`, which the
+    default `letters` calls once per letter for the coset index j of
+    t * g and the cofactor t * g * t_j^{-1} (the default multiplies by the
+    stored t_j^{-1}; a family whose coset search yields the cofactor
+    returns it directly); `random_element` with a sampler of its own (the
+    default is a random generator word); and `describe`.
     The verify suites also need `random_h_element`, a random element of H.
     """
 

@@ -48,6 +48,22 @@ CONFIG_KEYS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs, rejecting a repeated key
+    (json.loads would keep its last value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def parse_json(text: str):
+    """json.loads, with a repeated object key a ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def load_config(source):
     """Build an instance from a config dict, JSON text, or file path.
 
@@ -60,8 +76,8 @@ def load_config(source):
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = parse_json(text)
+        except ValueError as exc:
             raise InstanceConfigError(f"bad JSON: {exc}") from exc
     else:
         data = source

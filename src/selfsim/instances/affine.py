@@ -13,6 +13,17 @@ The coset of (v, b) is alpha = v_1(1) * b_{1,1}(1)^{-1}; b_{1,1}(1) is a
 nonzero scalar because b reduces to a lower-triangular invertible matrix
 modulo x-1.  The exhaustive search remains available as the oracle.
 
+Every element decomposes in closed form (`letters`), with no group
+product.  The letter t_alpha = (alpha e_1, I) gives t_alpha g =
+(v + alpha e_1, b), in the coset j = (alpha + v_1(1)) * b_{1,1}(1)^{-1},
+and the cofactor t_alpha g t_j^{-1} = (v + alpha e_1 - j b_0, b), b_0 the
+first column of b.  Its state is
+
+    (apply_A(v + alpha e_1 - j b_0), conj_by_A(b)),
+
+so one conj_by_A(b) serves all p letters.  The generic `Instance.letters`
+stays the oracle.
+
 For n = 2 the group is still state-closed of degree p but is not finitely
 generated; construction permits it with a warning.
 """
@@ -21,9 +32,9 @@ from __future__ import annotations
 
 import warnings
 
-from ..engine import Instance, NotInH, states_within
+from ..engine import ContractViolation, Instance, NotInH, states_within
 from ..matrix import PolyMat, apply_A, conj_by_A, rho
-from ..ring import DensePoly, check_keys, is_prime
+from ..ring import DensePoly, NotDivisible, check_keys, is_prime
 from . import InstanceConfigError
 
 
@@ -131,9 +142,36 @@ class AffineInstance(Instance):
         return AffineElem(apply_A(g.v), conj_by_A(g.b))
 
     def coset_index(self, g: AffineElem) -> int:
-        """v_1(1) * b_{1,1}(1)^{-1}, in closed form."""
+        return self._index(g.v[0].eval(1), g.b.rows[0][0].eval(1))
+
+    def _index(self, v1: int, b11: int) -> int:
+        """The coset alpha = v_1(1) * b_{1,1}(1)^{-1} of an element, from
+        the values v1 = v_1(1) and b11 = b_{1,1}(1)."""
         p = self.p
-        return g.v[0].eval(1) * pow(g.b.rows[0][0].eval(1), p - 2, p) % p
+        return v1 * pow(b11, p - 2, p) % p
+
+    def letters(self, g: AffineElem) -> tuple:
+        """The closed form of the module docstring: one conj_by_A(b) for
+        all letters, and per letter one column combination and apply_A,
+        whose inexact division means a wrong coset."""
+        p = self.p
+        v, b = g.v, g.b
+        col = [row[0] for row in b.rows]
+        v1, b11 = v[0].eval(1), col[0].eval(1)
+        conj = conj_by_A(b)
+        images, states = [], []
+        for alpha in range(p):
+            j = self._index(alpha + v1, b11)
+            # the cofactor's vector v + alpha e_1 - j b_0
+            w = [e - c.mul_scalar(j) for e, c in zip(v, col)]
+            w[0] = w[0] + DensePoly.constant(p, alpha)
+            try:
+                w = apply_A(w)
+            except NotDivisible:
+                raise ContractViolation(f"cofactor at letter {alpha} fails subgroup membership") from None
+            images.append(j)
+            states.append(AffineElem(w, conj))
+        return images, states
 
     def generators(self) -> dict:
         """Translations t1..tn along e_i plus a finite matrix sample:

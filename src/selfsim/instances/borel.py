@@ -29,6 +29,30 @@ this reduction, so no second product is formed (`split`).  The exhaustive
 search survives as `coset_index_exhaustive`, the test oracle.  `entries`,
 the matrix M / M[0][0] of fractions that `render` prints, is the one way
 back to the localized ring.
+
+The decomposition (`letters`) forms no group product either.  For the
+letter t, t * M is normalized (t is unitriangular over F_p[x]), and its
+row i is M[i] + sum_{k>i} t[i][k] M[k]: it depends on row i of t only.
+The reduction of t * M finds row i of S = t_j^{-1} and of the cofactor
+t * M * S from that row and the rows r > i of S, so rows r >= i of S and
+of the state depend only on rows r >= i of t.  Fix the rows of t below
+row i.  Then the sums acc, the residues (`_residue`) and the divisions by
+(x-1)^(l-i) are F_p-linear in the coefficients of row i of t, so row i of
+S and of the state is a constant plus the digit combination of one basis
+row per coefficient: the row computed from M[i], plus the rows computed
+from x^e M[k] (k > i, e < k-i).  Working up from the last row, each
+configuration of the rows below row i costs 1 + dim reductions, dim the
+number of coefficients of row i, instead of one per letter; the letters
+then take prefix sums of the basis rows (`_span`).  At m = 2, with
+t = [[1, a], [0, 1]], this is the state entry
+
+    (M[0][1] - j_0 M[0][0]) / (x-1) + a (M[1][1] - c_1 M[0][0]) / (x-1),
+
+j_0 and c_1 the values at 1 of M[0][1] / M[0][0] and M[1][1] / M[0][0].
+The letter of S is the sum of the codes of its rows (`_letter`), and j
+is that of its inverse.  An inexact division means a wrong residue and
+raises ContractViolation.  The generic `Instance.letters` stays the
+oracle.
 """
 
 from __future__ import annotations
@@ -68,6 +92,17 @@ class BorelElem:
 
     def __repr__(self) -> str:
         return f"BorelElem({self.mat.render()})"
+
+
+def _span(p: int, const: tuple, basis: list) -> list:
+    """const + sum_k d_k * basis_k for every digit vector d over F_p, in
+    itertools.product order (first digit slowest), for tuples of
+    polynomials added entrywise; each sum extends a shared prefix sum."""
+    out = [const]
+    for b in basis:
+        multiples = [tuple(e.mul_scalar(c) for e in b) for c in range(1, p)]
+        out = [w for v in out for w in (v, *(tuple(map(add, v, u)) for u in multiples))]
+    return out
 
 
 def _valuation(e: DensePoly, f: DensePoly, cap: int) -> int:
@@ -187,15 +222,10 @@ class BorelInstance(Instance):
         return out
 
     def _build_transversal(self):
-        m = self.m
-        positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        choices = [self._superdiag_polys(j - i) for (i, j) in positions]
         ident = self._identity.mat.rows
         elems = []
-        for combo in itertools.product(*choices):
-            rows = [list(row) for row in ident]
-            for (i, j), poly in zip(positions, combo):
-                rows[i][j] = poly
+        for tails in itertools.product(*self._row_codes):
+            rows = [ident[i][: i + 1] + tail for i, tail in enumerate(tails)]
             elems.append(BorelElem(TriMat._raw(self.p, rows), self._zero_exps))
         return elems
 
@@ -237,43 +267,131 @@ class BorelInstance(Instance):
     def coset_index(self, g: BorelElem) -> int:
         return self.split(g)[0]
 
+    def _residue(self, acc: DensePoly, g: BorelElem, i: int, delta: int) -> DensePoly:
+        """The coset formula: the r of degree < delta with acc = M[i][i] * r
+        modulo (x-1)^delta, so that acc - M[i][i] * r lies in H's ideal
+        and -r is the entry of t^{-1} at (i, i+delta)."""
+        modulus = self.ring.pivot_pow(delta)
+        res = acc % modulus
+        if res.is_zero:
+            return res
+        lead = g.mat.rows[i][i].coeffs[-1]
+        inv = self.ring._den_inverse(g.exps[i], delta).mul_scalar(pow(lead, self.p - 2, self.p))
+        return res * inv % modulus
+
     def split(self, g: BorelElem) -> tuple:
         """Superdiagonal-by-superdiagonal reduction.
 
         g * t^{-1} = M S, with S the unitriangular t^{-1}; it lies in H
         exactly when every (M S)[i][l] = M[i][i] s[i][l] + acc, acc =
         sum_{i<r<=l} M[i][r] s[r][l], vanishes modulo (x-1)^(l-i): s[i][l]
-        is the residue of -acc / M[i][i], of degree < l-i.  S is looked up
-        among the transversal inverses, and M S, which keeps the diagonal
-        and the content of M, is read off the sums.
+        is minus the `_residue` of acc, of degree < l-i.  The letter of S
+        is read off its rows, and M S, which keeps the diagonal and the
+        content of M, is read off the sums.
         """
-        m, p, ring = self.m, self.p, self.ring
+        m, p = self.m, self.p
         a = g.mat.rows
         s = [list(row) for row in self._identity.mat.rows]
         cof = [list(row) for row in a]
         for delta in range(1, m):
-            modulus = ring.pivot_pow(delta)
             for i in range(m - delta):
                 l = i + delta
                 # s[l][l] = 1 brings in the M[i][l] term
                 acc = sum_of_products(p, ((a[i][r], s[r][l]) for r in range(i + 1, l + 1)))
-                res = acc % modulus
+                res = self._residue(acc, g, i, delta)
                 if not res.is_zero:
-                    d = a[i][i]
-                    inv = ring._den_inverse(g.exps[i], delta).mul_scalar(pow(d.coeffs[-1], p - 2, p))
-                    res = res * inv % modulus
                     s[i][l] = -res
-                    acc = acc - d * res
+                    acc = acc - a[i][i] * res
                 cof[i][l] = acc
-        idx = self._index_of_inverse.get(TriMat._raw(p, s))
-        if idx is None:
-            raise ContractViolation("coset reduction left the transversal")
-        return idx, BorelElem(TriMat._raw(p, cof), g.exps)
+        j = self._inverse_letters[self._letter(s)]
+        return j, BorelElem(TriMat._raw(p, cof), g.exps)
+
+    def letters(self, g: BorelElem) -> tuple:
+        """The closed form of the module docstring: rows from the bottom
+        up, 1 + dim reductions for each configuration of the rows below,
+        and the rows of S and of the state combined from them per letter."""
+        m, p = self.m, self.p
+        a = g.mat.rows
+        x = self.ring.polys[0]
+        ident = self._identity.mat.rows
+        # per configuration of the transversal rows below row i: its share
+        # of the letter index, and the rows of S and of the state
+        configs = [(0, ident[-1:], a[-1:])]
+        for i in range(m - 2, -1, -1):
+            cols = range(i + 1, m)
+            out = []
+            for share, s_rows, state_rows in configs:
+                # row i of t * M is M[i] plus t[i][k] * M[k] summed over k > i
+                vecs = []
+                for k in range(i, m):
+                    # row k of M times S, on the columns l > i
+                    accs = [
+                        sum_of_products(p, (
+                            (a[k][r], s_rows[r - i - 1][l]) for r in range(max(k, i + 1), l + 1)
+                        ))
+                        for l in cols
+                    ]
+                    # M[i] itself, then x^e M[k] for each coefficient e of t[i][k]
+                    for e in range(max(k - i, 1)):
+                        xe = self.ring._pow(x, e)
+                        vecs.append(self._reduce_row([acc * xe for acc in accs], g, i))
+                for code, vec in zip(self._row_codes[i].values(), _span(p, vecs[0], vecs[1:])):
+                    out.append((
+                        share + code,
+                        (ident[i][: i + 1] + vec[: m - 1 - i],) + s_rows,
+                        (a[i][: i + 1] + vec[m - 1 - i :],) + state_rows,
+                    ))
+            configs = out
+        images = [0] * self.degree
+        states = [None] * self.degree
+        for n, s_rows, state_rows in configs:
+            images[n] = self._inverse_letters[self._letter(s_rows)]
+            states[n] = BorelElem(TriMat._raw(p, state_rows), g.exps)
+        return images, states
+
+    def _reduce_row(self, accs, g: BorelElem, i: int) -> tuple:
+        """For the sums acc over the columns l > i of row i: the entries
+        -r of S (r the `_residue` of acc), then the state entries
+        (acc - M[i][i] * r) / (x-1)^(l-i), an exact division."""
+        d = g.mat.rows[i][i]
+        s_part, state_part = [], []
+        for delta, acc in enumerate(accs, 1):
+            res = self._residue(acc, g, i, delta)
+            q, r = divmod(acc - d * res, self.ring.pivot_pow(delta))
+            if not r.is_zero:
+                raise ContractViolation("cofactor fails subgroup membership")
+            s_part.append(-res)
+            state_part.append(q)
+        return tuple(s_part + state_part)
 
     @cached_property
-    def _index_of_inverse(self) -> dict:
-        """The matrix of each transversal inverse t_j^{-1}, mapped to j."""
-        return {t.mat: j for j, t in enumerate(self.transversal_inverses)}
+    def _row_codes(self) -> list:
+        """For each row i, the tails (t[i][i+1], ..., t[i][m-1]) of row i
+        over the transversal, in transversal order, mapped to their share
+        of the letter index; a letter's index is the sum of the shares of
+        its rows."""
+        codes, weight = [], 1
+        for i in range(self.m - 1, -1, -1):
+            tails = list(itertools.product(*(self._superdiag_polys(l - i) for l in range(i + 1, self.m))))
+            codes.append({tail: k * weight for k, tail in enumerate(tails)})
+            weight *= len(tails)
+        return codes[::-1]
+
+    def _letter(self, rows) -> int:
+        """The letter n whose t_n has the given rows."""
+        try:
+            return sum(code[tuple(row[i + 1 :])] for i, (code, row) in enumerate(zip(self._row_codes, rows)))
+        except KeyError:
+            raise ContractViolation("coset reduction left the transversal") from None
+
+    @cached_property
+    def _inverse_letters(self) -> list:
+        """The letter j of t_n^{-1}, for each letter n: the transversal is
+        closed under inversion (`claim1_check`)."""
+        out = [0] * self.degree
+        for j, t in enumerate(self.transversal_inverses):
+            out[self._letter(t.mat.rows)] = j
+        return out
 
     def generators(self) -> dict:
         """u1..u_{m-1} (superdiagonal elementary) and xK_S (diagonal f_S at

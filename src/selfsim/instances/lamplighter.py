@@ -23,11 +23,23 @@ the generators decompose in closed form:
                   s_i = (i + lam(1)) mod p.
 
 For p = 2, n = 1 this is the classical two-state lamplighter machine.
+
+Every element decomposes in closed form (`letters`), with no group
+product.  For g = (r, q) let c = r(1).  Then u^i g = (i + r, q) lies in
+the coset of u^j, j = (i + c) mod p, and the cofactor
+u^i g u^{-j} = (i + r - j phi(q)^{-1}, q) has the state
+
+    ((r - c)/(x-1) + j (1 - phi(q)^{-1})/(x-1), q) = (B + j W, q),
+
+because i + c - j vanishes in F_p.  W depends on q only and is memoized;
+B and W are put over one denominator once per element, so a letter costs
+a scalar multiple, a sum and its cancellation.  The generic
+`Instance.letters` stays the oracle.
 """
 
 from __future__ import annotations
 
-from ..engine import Instance, NotInH, Perm, WreathDecomp, decompose, states_within
+from ..engine import ContractViolation, Instance, NotInH, Perm, WreathDecomp, decompose, states_within
 from ..ring import (
     DensePoly,
     LocalizedRing,
@@ -73,6 +85,7 @@ class LampInstance(Instance):
         self.ring = LocalizedRing(p, polys)
         self.n = len(self.ring.polys)
         self._identity = LampElem(self.ring.zero, (0,) * self.n)
+        self._ws: dict = {}
 
     # -- contract --------------------------------------------------------
 
@@ -104,8 +117,40 @@ class LampInstance(Instance):
         return LampElem(divide_exact(g.r, 1), g.q)
 
     def coset_index(self, g: LampElem) -> int:
-        # the coset of u^i is detected by evaluating the exponent at 1
-        return eval_at_one(g.r)
+        return self._index(eval_at_one(g.r))
+
+    def _index(self, c: int) -> int:
+        """The coset u^j holding an element whose exponent takes the value
+        c at 1."""
+        return c % self.p
+
+    def letters(self, g: LampElem) -> tuple:
+        """The closed form (B + j W, q) of the module docstring."""
+        p, ring = self.p, self.ring
+        c = eval_at_one(g.r)
+        base = divide_exact(g.r - ring.constant(c), 1)
+        # B and W over one denominator, so that B + j W scales nothing
+        num_b, num_w, den, axes = base._join(*self._w(g.q))
+        images, states = [], []
+        for i in range(p):
+            j = self._index(i + c)
+            # the cofactor's exponent takes the value i + c - j at 1
+            if (i + c - j) % p:
+                raise ContractViolation(f"cofactor at letter {i} fails subgroup membership")
+            images.append(j)
+            r = ring._cancel(num_b + num_w.mul_scalar(j), list(den), axes) if j else base
+            states.append(LampElem(r, g.q))
+        return images, states
+
+    def _w(self, q) -> tuple:
+        """The numerator and denominator of W = (1 - phi(q)^{-1}) / (x-1),
+        memoized per instance."""
+        w = self._ws.get(q)
+        if w is None:
+            phi_inv = self.ring.one.mul_unit(1, tuple(-e for e in q))
+            w = divide_exact(self.ring.one - phi_inv, 1)
+            w = self._ws[q] = (w.num, w.den)
+        return w
 
     def generators(self) -> dict:
         gens = {"e": self._identity, "u": LampElem(self.ring.one, (0,) * self.n)}

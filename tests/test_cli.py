@@ -186,6 +186,8 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({**LAMP_F2, "polys": [[0, 1]], "m": 2}, EXIT_INVALID),
         ({**LAMP_F2, "polys": [[0, 1]], "P": 2}, EXIT_INVALID),
         ({"family": ["wreath"], "p": 2}, EXIT_INVALID),
+        (b'{"family": "lamplighter", "p": 2, "polys": [[0,1]], "p": 3}', EXIT_INVALID),
+        (b'{"family": "lamplighter", "p": 1' + b"0" * 5000 + b"}", EXIT_INVALID),
     ],
     ids=[
         "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
@@ -193,7 +195,7 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         "huge-wreath-d", "huge-poly-degree", "huge-borel-poly-degree", "huge-g-degree",
         "wreath-misspelt-key", "wreath-g-unlocalized", "wreath-g-localized-false",
         "borel-extra-key", "affine-extra-key", "lamplighter-extra-key", "wrong-case-key",
-        "list-family",
+        "list-family", "repeated-key", "int-over-digit-limit",
     ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
@@ -238,12 +240,15 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
         '{"D": [{"c": 1, "exps": [1, 0]}, {}]}',
         '{"d": [{"c": 1, "exp": [1, 0]}, {}]}',
         '{"n": [[[], {"num": [1], "dem": [1, 0]}], [[], []]]}',
+        '{"d": [{"c": 0, "c": 1}, {}]}',
+        '{"d": [{"c": 1' + "0" * 5000 + '}, {}]}',
     ],
     ids=[
         "non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps",
         "filled-lower-cells", "short-n", "long-n", "long-row", "zero-diagonal-cell",
         "one-diagonal-cell", "scalar-n", "short-exps", "c-zero-mod-p", "huge-exp", "huge-den",
-        "unknown-key", "unknown-d-key", "unknown-fraction-key",
+        "unknown-key", "unknown-d-key", "unknown-fraction-key", "repeated-key",
+        "int-over-digit-limit",
     ],
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):

@@ -11,6 +11,7 @@ import pytest
 from selfsim.engine import (
     CapExceeded,
     ContractViolation,
+    Instance,
     MealyAutomaton,
     NotInH,
     Perm,
@@ -171,7 +172,10 @@ class _CorruptedEndo(LampInstance):
 
     An affine shift is never a homomorphism, so the product rule must
     notice (corruptions that are still homomorphisms would be consistent
-    with the recursion and rightly pass)."""
+    with the recursion and rightly pass).  The generic walk decomposes, so
+    the corrupted `endo_f` is the one applied."""
+
+    letters = Instance.letters
 
     def endo_f(self, g):
         from selfsim.instances.lamplighter import LampElem
@@ -449,6 +453,9 @@ def test_endo_f_raises_not_in_h_exactly_off_h(config):
 
 
 class _CountingBorel(BorelInstance):
+    # the generic walk, whose H tests are counted
+    letters = Instance.letters
+
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = Counter()
@@ -483,6 +490,20 @@ def _counting_products(inst):
 
     inst.__class__ = Counting
     return inst
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_decompose_makes_no_products(config):
+    # every family computes its letters in closed form; the generic walk
+    # makes two products per letter
+    inst = _counting_products(load_config(CONFIGS / f"{config}.json"))
+    rng = random.Random(43)
+    sample = [inst.random_element(rng, 6) for _ in range(4)] + [inst.random_h_element(rng)]
+    inst.products = 0
+    for g in sample:
+        decompose(inst, g)
+    assert len(inst._decomp_cache) == len(set(sample))
+    assert inst.products == 0
 
 
 def test_elem_pow_makes_one_product_per_bit():

@@ -1,13 +1,14 @@
 """Recorded CLI outputs replayed in-process.
 
 perfbench/goldens.json holds the exit code and stdout sha256 of every job
-the benchmark can run.  This replays `selfsim.cli.main` on every CLI job
-of the `cli_short` and `wreath` workloads and on the shipped-config Borel
-portrait and automaton jobs of `univariate`, so a change to any printed
-byte fails here before it fails the benchmark.  The file is only read.
+the benchmark can run.  This replays every job of the three workloads in
+process, through `selfsim.cli.main` or the `main` of perfbench/prule.py,
+so a change to any printed byte fails here before it fails the
+benchmark.  The files are only read.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -19,24 +20,29 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
 
 
-def jobs(workload, keep=lambda job: True):
+def _script_main(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+RUNNERS = {"cli": main, "prule": _script_main("prule")}
+
+
+def jobs(workload):
     slots = GOLDENS["workloads"][workload]["slots"]
-    found = [job for slot in slots for job in slot if job[0] == "cli" and keep(job)]
-    return list(dict.fromkeys(map(tuple, found)))
+    return list(dict.fromkeys(tuple(job) for slot in slots for job in slot))
 
 
-def borel_shipped(job):
-    return job[1] in ("decompose", "automaton") and job[2].startswith("configs/borel")
+JOBS = jobs("cli_short") + jobs("univariate") + jobs("wreath")
 
 
-JOBS = jobs("cli_short") + jobs("univariate", borel_shipped) + jobs("wreath")
-
-
-@pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[1:]) for job in JOBS])
+@pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[job[0] == "cli" :]) for job in JOBS])
 def test_job_matches_golden(job, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     try:
-        code = main(list(job[1:]))
+        code = RUNNERS[job[0]](list(job[1:]))
     except SystemExit as exc:  # argparse usage errors
         code = exc.code if isinstance(exc.code, int) else 1
     out = capsys.readouterr().out
@@ -47,5 +53,5 @@ def test_job_matches_golden(job, capsys, monkeypatch):
 
 def test_replay_covers_the_workloads():
     assert len(jobs("cli_short")) == 563
-    assert len(jobs("univariate", borel_shipped)) == 14
+    assert len(jobs("univariate")) == 51
     assert len(jobs("wreath")) == 56

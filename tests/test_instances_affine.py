@@ -6,7 +6,14 @@ import warnings
 
 import pytest
 
-from selfsim.engine import NotInH, decompose, product_rule_check, transversal_validate
+from selfsim.engine import (
+    ContractViolation,
+    Instance,
+    NotInH,
+    decompose,
+    product_rule_check,
+    transversal_validate,
+)
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.affine import AffineElem, AffineInstance
 from selfsim.matrix import PolyMat, conj_by_A, rho
@@ -178,3 +185,29 @@ def test_rho_of_delta_members():
     inst = make()
     for g in inst.delta_sample(1):
         assert rho(g.v) <= 1 and rho(g.b) <= 1
+
+
+# -- closed-form letters against the generic walk --------------------------------
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3)])
+def test_letters_closed_form_matches_generic_oracle(n, p):
+    inst = make(n, p)
+    rng = random.Random(10 * p + n)
+    elems = [inst.random_element(rng, 6) for _ in range(30)]
+    elems += [inst.random_h_element(rng) for _ in range(15)]
+    elems += [inst.multiply(t, g) for t in inst.transversal for g in elems[:3]]
+    assert any(inst.h_member(g) for g in elems) and not all(inst.h_member(g) for g in elems)
+    for g in elems:
+        assert inst.letters(g) == Instance.letters(inst, g)
+
+
+def test_letters_reports_a_wrong_coset_formula(monkeypatch):
+    inst = make(3, 3)
+    g = inst.random_element(random.Random(8))
+    right = inst._index
+    monkeypatch.setattr(inst, "_index", lambda v1, b11: (right(v1, b11) + 1) % inst.p)
+    with pytest.raises(ContractViolation):
+        inst.letters(g)
+    with pytest.raises(ContractViolation):
+        Instance.letters(inst, g)

@@ -3,10 +3,18 @@ membership/endomorphism behavior, and the bounded-degree state closure of
 the diagonal generators."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from selfsim.engine import NotInH, decompose, product_rule_check, transversal_validate
+from selfsim.engine import (
+    ContractViolation,
+    Instance,
+    NotInH,
+    decompose,
+    product_rule_check,
+    transversal_validate,
+)
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.borel import BorelInstance
 from selfsim.ring import DensePoly
@@ -281,3 +289,44 @@ def test_automaton_simulation_matches_action():
     aut = states_bfs(inst, g, inst.delta_size(1, 1))
     for word in itertools.product(range(2), repeat=6):
         assert aut.simulate(word) == act_on_word(inst, g, word)
+
+
+# -- closed-form letters against the generic walk --------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "config, count",
+    [
+        ("configs/borel_m2_p2", 20),
+        ("configs/borel_m2_p3", 20),
+        ("configs/borel_m3_p2", 10),
+        ("perfbench/configs/borel_m3_p3", 4),
+        ("perfbench/configs/borel_m4_p2", 1),
+    ],
+)
+def test_letters_closed_form_matches_generic_oracle(config, count):
+    # states are compared by their normalized matrices
+    inst = load_config(ROOT / f"{config}.json")
+    rng = random.Random(count)
+    elems = seeded_elements(inst, rng, count) + [inst.random_h_element(rng) for _ in range(count)]
+    elems.append(inst.multiply(inst.transversal[-1], elems[0]))
+    assert any(inst.h_member(g) for g in elems) and not all(inst.h_member(g) for g in elems)
+    assert any(any(map(any, g.exps)) for g in elems)
+    for g in elems:
+        images, states = inst.letters(g)
+        oracle_images, oracle_states = Instance.letters(inst, g)
+        assert images == oracle_images
+        assert [s.mat for s in states] == [s.mat for s in oracle_states]
+
+
+def test_letters_reports_a_wrong_coset_formula(monkeypatch):
+    inst = make(3, 2)
+    g = inst.random_element(random.Random(8), 5)
+    right = inst._residue
+    monkeypatch.setattr(inst, "_residue", lambda *args: right(*args) + DensePoly.one(inst.p))
+    with pytest.raises(ContractViolation):
+        inst.letters(g)
+    with pytest.raises(ContractViolation):
+        Instance.letters(inst, g)

@@ -8,6 +8,8 @@ import pytest
 
 from selfsim.engine import (
     CapExceeded,
+    ContractViolation,
+    Instance,
     MealyAutomaton,
     act_on_word,
     decompose,
@@ -230,3 +232,44 @@ def test_h_normality_spot_check():
         h = inst.random_h_element(rng)
         conj = inst.multiply(inst.multiply(g, h), inst.invert(g))
         assert inst.h_member(conj)
+
+
+# -- closed-form letters against the generic walk --------------------------------
+
+
+def basis(p, n):
+    """x and the first n-1 monic irreducible polynomials with value 1 at
+    1, by degree and then by coefficients."""
+    out = [DensePoly.x(p)]
+    for deg in itertools.count(2):
+        for low in itertools.product(range(p), repeat=deg):
+            if len(out) == n:
+                return out
+            f = DensePoly(p, low + (1,))
+            if f.eval(1) == 1 and f.is_irreducible():
+                out.append(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_letters_closed_form_matches_generic_oracle(p, n):
+    inst = LampInstance(p, basis(p, n))
+    rng = random.Random(10 * p + n)
+    elems = [inst.random_element(rng) for _ in range(20)]
+    elems += [inst.random_h_element(rng) for _ in range(10)]
+    elems += [inst.multiply(t, g) for t in inst.transversal for g in elems[:3]]
+    assert any(inst.h_member(g) for g in elems) and not all(inst.h_member(g) for g in elems)
+    assert any(any(g.r.den) for g in elems) and any(min(g.q) < 0 for g in elems)
+    for g in elems:
+        assert inst.letters(g) == Instance.letters(inst, g)
+
+
+def test_letters_reports_a_wrong_coset_formula(monkeypatch):
+    inst = make(3, 2)
+    g = inst.random_element(random.Random(8))
+    right = inst._index
+    monkeypatch.setattr(inst, "_index", lambda c: (right(c) + 1) % inst.p)
+    with pytest.raises(ContractViolation):
+        inst.letters(g)
+    with pytest.raises(ContractViolation):
+        Instance.letters(inst, g)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim.engine import ContractViolation, decompose
+from selfsim.engine import ContractViolation, Instance, decompose
 from selfsim.instances import load_config
 from selfsim.instances.lamplighter import LampElem, LampInstance
 from selfsim.ring import DensePoly
@@ -57,6 +57,9 @@ class _BrokenEndo(LampInstance):
 
 
 class _BrokenTransversal(LampInstance):
+    # the generic walk, which multiplies by the broken transversal
+    letters = Instance.letters
+
     def _build_transversal(self):
         base = super()._build_transversal()
         return [base[0]] * len(base)
@@ -76,6 +79,9 @@ def test_broken_transversal_raises_or_fails():
 
 def test_broken_coset_map_is_contract_violation():
     class _ConstantCoset(LampInstance):
+        # the generic walk, which reads the coset from coset_index
+        letters = Instance.letters
+
         def coset_index(self, g):
             return 0
 
