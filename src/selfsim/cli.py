@@ -16,7 +16,7 @@ Element expressions are words of named generators with integer exponents
 MAX_WORD_LENGTH; matrix families also accept one JSON literal
 ('{"v": [[1]], "b": [[...]]}' for the affine family, '{"n": ..., "d": ...}'
 for the triangular one).  Exit codes: 0 success, 1 hypothesis/validation
-failure, 2 verification failure, 3 I/O or parse error.
+failure, 2 verification failure, 3 I/O, parse or usage error.
 
 Outputs are deterministic: fixed orderings everywhere, and the only
 randomness (verification sampling) is seeded via --seed.
@@ -234,8 +234,15 @@ def cmd_tame(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a parse error: exit 3 with one line."""
+
+    def error(self, message):
+        raise _Exit(EXIT_PARSE, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="selfsim",
         description="exact self-similar group actions from virtual endomorphisms",
     )
@@ -272,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         sys.stderr.write(f"error: {exc}\n")

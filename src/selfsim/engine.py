@@ -3,7 +3,7 @@
 An *instance* packages a group G, a finite-index subgroup H with a right
 transversal t_0, ..., t_{m-1} (t_0 in H), and a homomorphism f defined on
 H only: `endo_f` raises `NotInH` outside H.  The default decomposition
-calls `split` and `endo_f` once per letter, so f itself is the one
+calls `coset_index` and `endo_f` once per letter, so f itself is the one
 membership test of each cofactor; `h_member` serves the exhaustive coset
 search and the validators.  Every group element then acts on the rooted
 m-ary tree through its wreath decomposition
@@ -127,14 +127,11 @@ class Instance(ABC):
     search and the validators.  A family may override `coset_index` with a
     closed form (`coset_index_exhaustive` stays the oracle); `letters`,
     the level permutation images and states of g that `decompose` asks
-    for (the default walks the transversal with `split` and `endo_f`;
-    every shipped family overrides it with a closed form that makes no
-    group product, and the default stays its oracle); `split`, which the
-    default `letters` calls once per letter for the coset index j of
-    t * g and the cofactor t * g * t_j^{-1} (the default multiplies by the
-    stored t_j^{-1}; a family whose coset search yields the cofactor
-    returns it directly); `random_element` with a sampler of its own (the
-    default is a random generator word); and `describe`.
+    for (the default walks the transversal with `coset_index`, a product
+    by the stored t_j^{-1} and `endo_f`; every shipped family overrides it
+    with a closed form that makes no group product, and the default stays
+    its oracle); `random_element` with a sampler of its own (the default
+    is a random generator word); and `describe`.
     The verify suites also need `random_h_element`, a random element of H.
     """
 
@@ -213,11 +210,6 @@ class Instance(ABC):
     def coset_index(self, g) -> int:
         return self.coset_index_exhaustive(g)
 
-    def split(self, g) -> tuple:
-        """(j, g * t_j^{-1}) for the coset H t_j holding g."""
-        j = self.coset_index(g)
-        return j, self.multiply(g, self.transversal_inverses[j])
-
     def letters(self, g) -> tuple:
         """(images, states) of g: for each transversal letter t_i, the
         index j of the coset holding t_i * g and the state
@@ -226,9 +218,10 @@ class Instance(ABC):
         images = []
         states = []
         for i, t in enumerate(self.transversal):
-            j, cof = self.split(self.multiply(t, g))
+            tg = self.multiply(t, g)
+            j = self.coset_index(tg)
             try:
-                states.append(self.endo_f(cof))
+                states.append(self.endo_f(self.multiply(tg, self.transversal_inverses[j])))
             except NotInH:
                 raise ContractViolation(f"cofactor at letter {i} fails subgroup membership") from None
             images.append(j)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..ring import DensePoly, check_keys
+from ..ring import DensePoly, check_keys, is_prime
 
 
 class InstanceConfigError(ValueError):
@@ -34,6 +34,10 @@ MAX_DEGREE = 4096
 # The largest degree of a basis polynomial or of the wreath g, checked
 # before any irreducibility test (Ben-Or's costs about deg^3 log p).
 MAX_POLY_DEGREE = 64
+
+# The largest affine dimension n: an affine literal's matrix determinant
+# is a Laplace expansion of n! terms.
+MAX_AFFINE_DIM = 8
 
 # The largest length of an element expression, the sum of |exponent| over
 # its terms; it also bounds every exponent in a Borel literal.
@@ -60,18 +64,23 @@ def _unique_keys(pairs) -> dict:
 
 
 def parse_json(text: str):
-    """json.loads, with a repeated object key a ValueError."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """json.loads, with a repeated object key or nesting past the
+    interpreter's recursion limit a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 def load_config(source):
-    """Build an instance from a config dict, JSON text, or file path.
+    """Build an instance from a config dict or a file path.
 
     Schema: {"family": "borel"|"affine"|"lamplighter"|"wreath", "p": int,
     "m"|"n"|"d": int, "polys": [[coeffs]...], "g": [coeffs],
     "localized": bool}, with only the keys in CONFIG_KEYS for the family,
-    and "g" only with "localized": true.  The instance's degree must not
-    exceed MAX_DEGREE, nor a polynomial's degree MAX_POLY_DEGREE.
+    and "g" only with "localized": true.  The degree, a polynomial's degree
+    and the affine n are bounded by MAX_DEGREE, MAX_POLY_DEGREE and
+    MAX_AFFINE_DIM.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -98,6 +107,8 @@ def load_config(source):
     p = integer("p", "config key 'p' must be an integer")
     if p > MAX_DEGREE:
         raise InstanceConfigError(f"p = {p} exceeds the degree bound {MAX_DEGREE}")
+    if not is_prime(p):
+        raise InstanceConfigError(f"p = {p} is not prime")
 
     def poly(raw, key):
         try:
@@ -128,7 +139,10 @@ def load_config(source):
     elif family == "affine":
         from .affine import AffineInstance
 
-        inst = AffineInstance(p, integer("n", "affine config requires integer 'n'"))
+        n = integer("n", "affine config requires integer 'n'")
+        if n > MAX_AFFINE_DIM:
+            raise InstanceConfigError(f"dimension n = {n} exceeds the bound {MAX_AFFINE_DIM}")
+        inst = AffineInstance(p, n)
     elif family == "lamplighter":
         from .lamplighter import LampInstance
 

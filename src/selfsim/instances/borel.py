@@ -20,18 +20,17 @@ change neither the diagonal nor the content.  The transversal consists of
 the unitriangular matrices with polynomial entries of degree < j-i at
 (i, j), of which there are p^l, l = sum_i i(m-i).
 
-Locating the coset of an element never needs the full p^l search: writing
-the required cofactor condition superdiagonal by superdiagonal gives, for
-each diagonal distance delta, a congruence modulo (x-1)^delta whose unique
-solution of degree < delta is the corresponding entry of t^{-1}.  The
-cofactor g * t^{-1} that the decomposition needs is read off the sums of
-this reduction, so no second product is formed (`split`).  The exhaustive
-search survives as `coset_index_exhaustive`, the test oracle.  `entries`,
-the matrix M / M[0][0] of fractions that `render` prints, is the one way
-back to the localized ring.
+Locating the coset of an element never needs the full p^l search:
+g * t_j^{-1} = M S, S = t_j^{-1} unitriangular, lies in H exactly when
+every M[i][i] S[i][l] + acc, acc = sum_{i<r<=l} M[i][r] S[r][l], vanishes
+modulo (x-1)^(l-i), which fixes S[i][l] of degree < l-i (`_residue`) from
+the rows of S below row i.  `coset_index` is the reduction below for the
+letter t = 1 alone, and `coset_index_exhaustive` stays the oracle.
+`entries`, the matrix M / M[0][0] of fractions that `render` prints, is
+the one way back to the localized ring.
 
-The decomposition (`letters`) forms no group product either.  For the
-letter t, t * M is normalized (t is unitriangular over F_p[x]), and its
+The decomposition (`letters`, by `_walk`) forms no group product.  For
+the letter t, t * M is normalized (t is unitriangular over F_p[x]), and its
 row i is M[i] + sum_{k>i} t[i][k] M[k]: it depends on row i of t only.
 The reduction of t * M finds row i of S = t_j^{-1} and of the cofactor
 t * M * S from that row and the rows r > i of S, so rows r >= i of S and
@@ -50,9 +49,10 @@ t = [[1, a], [0, 1]], this is the state entry
 
 j_0 and c_1 the values at 1 of M[0][1] / M[0][0] and M[1][1] / M[0][0].
 The letter of S is the sum of the codes of its rows (`_letter`), and j
-is that of its inverse.  An inexact division means a wrong residue and
-raises ContractViolation.  The generic `Instance.letters` stays the
-oracle.
+is that of its inverse, read off the identity's walk, where the letter
+t_n has S = t_n^{-1} (`_inverse_letters`).  An inexact division means a
+wrong residue and raises ContractViolation.  The generic
+`Instance.letters` stays the oracle.
 """
 
 from __future__ import annotations
@@ -265,7 +265,14 @@ class BorelInstance(Instance):
         return BorelElem(TriMat._raw(self.p, rows), g.exps)
 
     def coset_index(self, g: BorelElem) -> int:
-        return self.split(g)[0]
+        """The reduction of `_walk` for the letter t = 1 alone."""
+        a = g.mat.rows
+        ident = self._identity.mat.rows
+        s_rows = ident[-1:]
+        for i in range(self.m - 2, -1, -1):
+            vec = self._reduce_row(self._row_sums(a, i, i, s_rows), g, i)
+            s_rows = (ident[i][: i + 1] + vec[: self.m - 1 - i],) + s_rows
+        return self._inverse_letters[self._letter(s_rows)]
 
     def _residue(self, acc: DensePoly, g: BorelElem, i: int, delta: int) -> DensePoly:
         """The coset formula: the r of degree < delta with acc = M[i][i] * r
@@ -279,37 +286,19 @@ class BorelInstance(Instance):
         inv = self.ring._den_inverse(g.exps[i], delta).mul_scalar(pow(lead, self.p - 2, self.p))
         return res * inv % modulus
 
-    def split(self, g: BorelElem) -> tuple:
-        """Superdiagonal-by-superdiagonal reduction.
-
-        g * t^{-1} = M S, with S the unitriangular t^{-1}; it lies in H
-        exactly when every (M S)[i][l] = M[i][i] s[i][l] + acc, acc =
-        sum_{i<r<=l} M[i][r] s[r][l], vanishes modulo (x-1)^(l-i): s[i][l]
-        is minus the `_residue` of acc, of degree < l-i.  The letter of S
-        is read off its rows, and M S, which keeps the diagonal and the
-        content of M, is read off the sums.
-        """
-        m, p = self.m, self.p
-        a = g.mat.rows
-        s = [list(row) for row in self._identity.mat.rows]
-        cof = [list(row) for row in a]
-        for delta in range(1, m):
-            for i in range(m - delta):
-                l = i + delta
-                # s[l][l] = 1 brings in the M[i][l] term
-                acc = sum_of_products(p, ((a[i][r], s[r][l]) for r in range(i + 1, l + 1)))
-                res = self._residue(acc, g, i, delta)
-                if not res.is_zero:
-                    s[i][l] = -res
-                    acc = acc - a[i][i] * res
-                cof[i][l] = acc
-        j = self._inverse_letters[self._letter(s)]
-        return j, BorelElem(TriMat._raw(p, cof), g.exps)
-
     def letters(self, g: BorelElem) -> tuple:
-        """The closed form of the module docstring: rows from the bottom
-        up, 1 + dim reductions for each configuration of the rows below,
-        and the rows of S and of the state combined from them per letter."""
+        images = [0] * self.degree
+        states = [None] * self.degree
+        for n, s_rows, state_rows in self._walk(g):
+            images[n] = self._inverse_letters[self._letter(s_rows)]
+            states[n] = BorelElem(TriMat._raw(self.p, state_rows), g.exps)
+        return images, states
+
+    def _walk(self, g: BorelElem) -> list:
+        """(n, rows of S, rows of the state) for every letter t_n, by the
+        closed form of the module docstring: rows from the bottom up,
+        1 + dim reductions for each configuration of the rows below, and
+        the rows of S and of the state combined from them per letter."""
         m, p = self.m, self.p
         a = g.mat.rows
         x = self.ring.polys[0]
@@ -318,19 +307,12 @@ class BorelInstance(Instance):
         # of the letter index, and the rows of S and of the state
         configs = [(0, ident[-1:], a[-1:])]
         for i in range(m - 2, -1, -1):
-            cols = range(i + 1, m)
             out = []
             for share, s_rows, state_rows in configs:
                 # row i of t * M is M[i] plus t[i][k] * M[k] summed over k > i
                 vecs = []
                 for k in range(i, m):
-                    # row k of M times S, on the columns l > i
-                    accs = [
-                        sum_of_products(p, (
-                            (a[k][r], s_rows[r - i - 1][l]) for r in range(max(k, i + 1), l + 1)
-                        ))
-                        for l in cols
-                    ]
+                    accs = self._row_sums(a, k, i, s_rows)
                     # M[i] itself, then x^e M[k] for each coefficient e of t[i][k]
                     for e in range(max(k - i, 1)):
                         xe = self.ring._pow(x, e)
@@ -342,12 +324,15 @@ class BorelInstance(Instance):
                         (a[i][: i + 1] + vec[m - 1 - i :],) + state_rows,
                     ))
             configs = out
-        images = [0] * self.degree
-        states = [None] * self.degree
-        for n, s_rows, state_rows in configs:
-            images[n] = self._inverse_letters[self._letter(s_rows)]
-            states[n] = BorelElem(TriMat._raw(p, state_rows), g.exps)
-        return images, states
+        return configs
+
+    def _row_sums(self, a, k: int, i: int, s_rows) -> list:
+        """The sums acc: row k >= i of M times S on the columns l > i, S
+        given by its rows below row i."""
+        return [
+            sum_of_products(self.p, ((a[k][r], s_rows[r - i - 1][l]) for r in range(max(k, i + 1), l + 1)))
+            for l in range(i + 1, self.m)
+        ]
 
     def _reduce_row(self, accs, g: BorelElem, i: int) -> tuple:
         """For the sums acc over the columns l > i of row i: the entries
@@ -386,11 +371,11 @@ class BorelInstance(Instance):
 
     @cached_property
     def _inverse_letters(self) -> list:
-        """The letter j of t_n^{-1}, for each letter n: the transversal is
-        closed under inversion (`claim1_check`)."""
+        """The letter j of t_n^{-1}, for each letter n, from the identity's
+        walk: there the letter t_n has S = t_n^{-1}."""
         out = [0] * self.degree
-        for j, t in enumerate(self.transversal_inverses):
-            out[self._letter(t.mat.rows)] = j
+        for n, s_rows, _ in self._walk(self._identity):
+            out[self._letter(s_rows)] = n
         return out
 
     def generators(self) -> dict:

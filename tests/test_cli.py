@@ -155,6 +155,25 @@ def test_build_missing_file_exits_3(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frob"],
+        ["build"],
+        ["decompose", str(CONFIGS / "lamplighter_p2_n1.json"), "-u"],
+        ["decompose", str(CONFIGS / "lamplighter_p2_n1.json"), "u", "--depth", "x"],
+        ["verify", str(CONFIGS / "lamplighter_p2_n1.json"), "--suite", "nope"],
+    ],
+    ids=["no-command", "unknown-command", "missing-config", "option-like-expr", "non-int-depth", "bad-suite"],
+)
+def test_usage_error_exits_3_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: selfsim")
+
+
 LAMP_F2 = {"family": "lamplighter", "p": 2}
 WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
 
@@ -188,6 +207,11 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         ({"family": ["wreath"], "p": 2}, EXIT_INVALID),
         (b'{"family": "lamplighter", "p": 2, "polys": [[0,1]], "p": 3}', EXIT_INVALID),
         (b'{"family": "lamplighter", "p": 1' + b"0" * 5000 + b"}", EXIT_INVALID),
+        (b"[" * 100000, EXIT_INVALID),
+        ({"family": "affine", "p": 2, "n": 9}, EXIT_INVALID),
+        ({"family": "affine", "p": 2, "n": 100000}, EXIT_INVALID),
+        ({**LAMP_F2, "p": 0, "polys": [[0, 1]]}, EXIT_INVALID),
+        ({"family": "borel", "p": -2, "m": 2, "polys": [[0, 1]]}, EXIT_INVALID),
     ],
     ids=[
         "string-coeff", "float-coeff", "bool-coeff", "scalar-g", "non-utf8", "directory",
@@ -195,7 +219,8 @@ WREATH_F2 = {"family": "wreath", "p": 2, "d": 2, "localized": True}
         "huge-wreath-d", "huge-poly-degree", "huge-borel-poly-degree", "huge-g-degree",
         "wreath-misspelt-key", "wreath-g-unlocalized", "wreath-g-localized-false",
         "borel-extra-key", "affine-extra-key", "lamplighter-extra-key", "wrong-case-key",
-        "list-family", "repeated-key", "int-over-digit-limit",
+        "list-family", "repeated-key", "int-over-digit-limit", "deeply-nested",
+        "affine-n-over-bound", "huge-affine-n", "zero-p", "negative-p",
     ],
 )
 def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
@@ -242,13 +267,14 @@ def test_build_bad_config_one_line_error(tmp_path, capsys, content, expected):
         '{"n": [[[], {"num": [1], "dem": [1, 0]}], [[], []]]}',
         '{"d": [{"c": 0, "c": 1}, {}]}',
         '{"d": [{"c": 1' + "0" * 5000 + '}, {}]}',
+        '{"n": ' + "[" * 50000 + "]" * 50000 + "}",
     ],
     ids=[
         "non-unit", "string-d", "short-d", "int-unit", "bool-c", "string-exp", "scalar-exps",
         "filled-lower-cells", "short-n", "long-n", "long-row", "zero-diagonal-cell",
         "one-diagonal-cell", "scalar-n", "short-exps", "c-zero-mod-p", "huge-exp", "huge-den",
         "unknown-key", "unknown-d-key", "unknown-fraction-key", "repeated-key",
-        "int-over-digit-limit",
+        "int-over-digit-limit", "deeply-nested",
     ],
 )
 def test_decompose_bad_borel_literal_one_line_error(capsys, literal):

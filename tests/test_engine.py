@@ -392,7 +392,7 @@ def test_random_nontrivial_elements_act_nontrivially():
     assert count > 50
 
 
-# -- split and hashing, every family ---------------------------------------------
+# -- coset index and hashing, every family -----------------------------------------
 
 FAMILY_CONFIGS = [
     "borel_m2_p2", "borel_m2_p3", "borel_m3_p2", "affine_n3_p2",
@@ -401,18 +401,15 @@ FAMILY_CONFIGS = [
 
 
 @pytest.mark.parametrize("config", FAMILY_CONFIGS)
-def test_split_matches_exhaustive_search(config):
-    # the coset by searching the whole transversal, the cofactor by a plain
-    # product with the stored t_j^{-1}; the sample includes the t * g that
-    # decompose splits
+def test_coset_index_matches_exhaustive_search(config):
+    # the coset by searching the whole transversal; the sample includes the
+    # t * g whose cosets a decomposition reads
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(23)
     sample = [inst.random_element(rng, 6) for _ in range(10)]
     sample += [inst.multiply(t, g) for t in inst.transversal[:4] for g in sample[:3]]
     for g in sample:
-        j = inst.coset_index_exhaustive(g)
-        assert inst.split(g) == (j, inst.multiply(g, inst.transversal_inverses[j]))
-        assert inst.coset_index(g) == j
+        assert inst.coset_index(g) == inst.coset_index_exhaustive(g)
 
 
 @pytest.mark.parametrize("config", FAMILY_CONFIGS)
@@ -478,15 +475,21 @@ def test_decompose_tests_h_once_per_letter_through_endo_f():
 
 
 def _counting_products(inst):
-    """inst, re-classed so that it counts its `multiply` calls."""
+    """inst, re-classed so that it counts its `multiply` and `invert`
+    calls."""
     base = type(inst)
 
     class Counting(base):
         products = 0
+        inversions = 0
 
         def multiply(self, a, b):
             self.products += 1
             return base.multiply(self, a, b)
+
+        def invert(self, a):
+            self.inversions += 1
+            return base.invert(self, a)
 
     inst.__class__ = Counting
     return inst
@@ -495,15 +498,16 @@ def _counting_products(inst):
 @pytest.mark.parametrize("config", FAMILY_CONFIGS)
 def test_decompose_makes_no_products(config):
     # every family computes its letters in closed form; the generic walk
-    # makes two products per letter
+    # makes two products per letter.  No inversion either, on a fresh
+    # instance: Borel reads the inverse letters off the identity's walk
     inst = _counting_products(load_config(CONFIGS / f"{config}.json"))
     rng = random.Random(43)
     sample = [inst.random_element(rng, 6) for _ in range(4)] + [inst.random_h_element(rng)]
-    inst.products = 0
+    inst.products = inst.inversions = 0
     for g in sample:
         decompose(inst, g)
     assert len(inst._decomp_cache) == len(set(sample))
-    assert inst.products == 0
+    assert inst.products == inst.inversions == 0
 
 
 def test_elem_pow_makes_one_product_per_bit():

@@ -14,7 +14,7 @@ from selfsim.engine import (
     product_rule_check,
     transversal_validate,
 )
-from selfsim.instances import InstanceConfigError, load_config
+from selfsim.instances import MAX_AFFINE_DIM, InstanceConfigError, load_config
 from selfsim.instances.affine import AffineElem, AffineInstance
 from selfsim.matrix import PolyMat, conj_by_A, rho
 from selfsim.ring import DensePoly
@@ -52,6 +52,13 @@ def test_load_config():
     inst = load_config({"family": "affine", "p": 2, "n": 3})
     assert isinstance(inst, AffineInstance)
     assert inst.degree == 2
+
+
+def test_load_config_bounds_the_dimension():
+    assert MAX_AFFINE_DIM == 8
+    assert load_config({"family": "affine", "p": 2, "n": MAX_AFFINE_DIM}).n == MAX_AFFINE_DIM
+    with pytest.raises(InstanceConfigError, match="n = 9 exceeds the bound 8"):
+        load_config({"family": "affine", "p": 2, "n": 9})
 
 
 def test_group_laws():

@@ -294,6 +294,13 @@ def test_automaton_simulation_matches_action():
 # -- closed-form letters against the generic walk --------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
+BOREL_CONFIGS = [
+    "configs/borel_m2_p2",
+    "configs/borel_m2_p3",
+    "configs/borel_m3_p2",
+    "perfbench/configs/borel_m3_p3",
+    "perfbench/configs/borel_m4_p2",
+]
 
 
 @pytest.mark.parametrize(
@@ -319,6 +326,16 @@ def test_letters_closed_form_matches_generic_oracle(config, count):
         oracle_images, oracle_states = Instance.letters(inst, g)
         assert images == oracle_images
         assert [s.mat for s in states] == [s.mat for s in oracle_states]
+
+
+@pytest.mark.parametrize("config", BOREL_CONFIGS)
+def test_inverse_letters_match_inverted_transversal(config):
+    # the oracle inverts every transversal element and reads its letter
+    inst = load_config(ROOT / f"{config}.json")
+    oracle = [0] * inst.degree
+    for j, t in enumerate(inst.transversal_inverses):
+        oracle[inst._letter(t.mat.rows)] = j
+    assert inst._inverse_letters == oracle
 
 
 def test_letters_reports_a_wrong_coset_formula(monkeypatch):
