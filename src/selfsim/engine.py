@@ -25,9 +25,18 @@ finite-state and the search must never loop unboundedly.
 
 Word convention: the level-1 letter is the leftmost letter of a word;
 sigma acts on it and the state at that letter acts on the suffix.
-Decompositions are pure and memoized per instance; breadth-first searches
-visit canonical elements in discovery order, so all outputs are
-deterministic.
+
+Decompositions are pure and memoized per instance, in four dicts that
+live as long as the instance.  `_decomp_cache` maps g to its
+decomposition.  `_intern_pool` keeps one shared object per element value:
+a decomposition passes g and each of its states through it, so equal
+states are the same object and a later lookup hits on identity before
+`__eq__` runs.  `_prule_cache` maps a verified pair (a, b) to the depth
+it was verified to.  `_product_cache` maps an operand pair (a_i, b_j) of
+`product_rule_check` to the interned state its product was verified
+against, so a known product is not recomputed; the comparison at each
+node still runs.  Breadth-first searches visit canonical elements in
+discovery order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -267,6 +276,14 @@ class Instance(ABC):
     def _prule_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def _intern_pool(self) -> dict:
+        return {}
+
+    @cached_property
+    def _product_cache(self) -> dict:
+        return {}
+
 
 def decompose(inst: Instance, g) -> WreathDecomp:
     """Compute (and memoize) the wreath decomposition of g."""
@@ -279,8 +296,9 @@ def decompose(inst: Instance, g) -> WreathDecomp:
         perm = Perm(images)
     except ValueError as exc:
         raise ContractViolation(str(exc)) from exc
-    dec = WreathDecomp(perm, tuple(states))
-    cache[g] = dec
+    intern = inst._intern_pool.setdefault
+    dec = WreathDecomp(perm, tuple([intern(s, s) for s in states]))
+    cache[intern(g, g)] = dec
     return dec
 
 
@@ -311,10 +329,13 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
     """Verify that decompositions multiply coordinatewise, recursively.
 
     Verified pairs are remembered on the instance (successes only), so
-    repeated subpairs across many random checks are not re-verified.
+    repeated subpairs across many random checks are not re-verified.  A
+    state product a_i * b_j already verified at some node is read from the
+    product map instead of recomputed, and compared all the same.
     """
     m = inst.degree
     memo: dict = inst._prule_cache
+    products: dict = inst._product_cache
 
     def rec(a, b, ab, d) -> bool:
         # ab is the already-computed product a*b
@@ -327,11 +348,17 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
             return False
         triples = []
         for i in range(m):
+            ai = da.states[i]
             bi = db.states[da.perm(i)]
-            expected = inst.multiply(da.states[i], bi)
-            if dab.states[i] != expected:
+            abi = dab.states[i]
+            expected = products.get((ai, bi))
+            if expected is None:
+                expected = inst.multiply(ai, bi)
+            if abi != expected:
                 return False
-            triples.append((da.states[i], bi, expected))
+            # the interned state, so the map holds no element of its own
+            products[(ai, bi)] = abi
+            triples.append((ai, bi, abi))
         memo[(a, b)] = d
         if d > 1:
             for a2, b2, ab2 in triples:

@@ -25,12 +25,11 @@ so one conj_by_A(b) serves all p letters.  The generic `Instance.letters`
 stays the oracle.
 
 For n = 2 the group is still state-closed of degree p but is not finitely
-generated; construction permits it with a warning.
+generated; construction permits it, and `describe` carries a note saying
+so.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..engine import ContractViolation, Instance, NotInH, states_within
 from ..matrix import PolyMat, apply_A, conj_by_A, rho
@@ -68,12 +67,6 @@ class AffineInstance(Instance):
             raise InstanceConfigError(f"{p} is not prime")
         if n < 2:
             raise InstanceConfigError("dimension n must be >= 2")
-        if n == 2:
-            warnings.warn(
-                "n = 2 gives a state-closed degree-p action of a group "
-                "that is not finitely generated",
-                stacklevel=2,
-            )
         self.p = p
         self.n = n
         self.pivot = DensePoly(p, (-1, 1))
@@ -204,7 +197,13 @@ class AffineInstance(Instance):
         return f"v={v};b={g.b.render()}"
 
     def describe(self) -> dict:
-        return {"family": self.family, "p": self.p, "n": self.n, "degree": self.degree}
+        out = {"family": self.family, "p": self.p, "n": self.n, "degree": self.degree}
+        if self.n == 2:
+            out["note"] = (
+                "n = 2 gives a state-closed degree-p action of a group "
+                "that is not finitely generated"
+            )
+        return out
 
     def random_h_element(self, rng, length: int = 5) -> AffineElem:
         g = self.random_element(rng, length)

@@ -2,12 +2,14 @@
 
 Arbitrary config files and arbitrary expressions on the shipped configs
 must each end in a documented exit code (0/1/2/3) with at most one line
-on stderr, and no exception may escape `main`.  Examples are drawn
-deterministically (`derandomize=True`) and their number is bounded.
+on stderr and no warning, and no exception may escape `main`.  Examples
+are drawn deterministically (`derandomize=True`) and their number is
+bounded.
 """
 
 import functools
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,12 +101,16 @@ OPTIONS = st.sampled_from([
 
 def _run(capsys, argv):
     try:
-        code = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
     except SystemExit as exc:
         # only -h/--help, which prints the usage to stdout, leaves this way
         assert exc.code == 0 and capsys.readouterr().out.startswith("usage:")
         event("help")
         return
+    # a warning would be one more stderr line outside pytest's capture
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1

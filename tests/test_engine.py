@@ -191,6 +191,43 @@ def test_product_rule_detects_corrupted_endo():
     assert not product_rule_check(inst, x0inv, u, 2)
 
 
+class _CorruptedProduct(LampInstance):
+    """Test double whose `multiply` of one chosen operand pair, `bad`, is
+    off by a right factor `offset` (none until the test sets them)."""
+
+    bad = None
+    offset = None
+
+    def multiply(self, a, b):
+        out = super().multiply(a, b)
+        if (a, b) == self.bad:
+            out = super().multiply(out, self.offset)
+        return out
+
+
+def test_product_rule_detects_corrupted_multiply_after_warm_up():
+    # a correct check of (g, h) puts the products of their states into the
+    # product map; once g * h is corrupted, each state of the corrupted
+    # product is still compared with the known product, which tells them
+    # apart.  The offset fixes level one, so only the states differ
+    inst = _CorruptedProduct(2, [DensePoly.x(2)])
+    rng = random.Random(47)
+    g, h = inst.random_element(rng), inst.random_element(rng)
+    offset = next(
+        x for x in (inst.random_h_element(rng) for _ in range(50))
+        if x != inst.identity() and decompose(inst, x).perm.is_identity
+    )
+    assert product_rule_check(inst, g, h, 1)
+    dg, dh = decompose(inst, g), decompose(inst, h)
+    for i in range(inst.degree):
+        assert (dg.states[i], dh.states[dg.perm(i)]) in inst._product_cache
+    # forget the verified pair, which would otherwise be skipped outright;
+    # the product map stays warm
+    inst._prule_cache.clear()
+    inst.bad, inst.offset = (g, h), offset
+    assert not product_rule_check(inst, g, h, 1)
+
+
 # -- states_bfs / automata -------------------------------------------------------
 
 
@@ -508,6 +545,65 @@ def test_decompose_makes_no_products(config):
         decompose(inst, g)
     assert len(inst._decomp_cache) == len(set(sample))
     assert inst.products == inst.inversions == 0
+
+
+# -- the engine memo: intern pool and product map ---------------------------------
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_decompose_interns_equal_elements(config):
+    # equal elements reached as different objects come out of the memo as
+    # one object, states and memo keys alike, and the product map holds
+    # interned states only
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(53)
+    sample = [inst.random_element(rng, 4) for _ in range(4)]
+    k = inst.random_element(rng, 3)
+    copies = [inst.multiply(inst.multiply(g, k), inst.invert(k)) for g in sample]
+    seen = {}
+    for g in sample + copies:
+        for s in decompose(inst, g).states:
+            assert seen.setdefault(s, s) is s
+    for g, again in zip(sample, copies):
+        assert again is not g and decompose(inst, again) is decompose(inst, g)
+    pool = inst._intern_pool
+    assert all(pool[key] is key for key in inst._decomp_cache)
+    assert product_rule_check(inst, sample[0], sample[1], 2)
+    for (a, b), ab in inst._product_cache.items():
+        assert pool[a] is a and pool[b] is b and pool[ab] is ab
+        assert ab == inst.multiply(a, b)
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_warm_memo_agrees_with_a_fresh_instance(config):
+    # after other checks have filled the memos, decompositions and check
+    # results equal those of an instance that starts empty
+    warm = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(59)
+    for _ in range(3):
+        assert product_rule_check(warm, warm.random_element(rng), warm.random_element(rng), 2)
+    fresh = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(61)
+    pairs = [(warm.random_element(rng), warm.random_element(rng)) for _ in range(3)]
+    for g, h in pairs:
+        for x in (g, h, warm.multiply(g, h)):
+            assert decompose(warm, x) == decompose(fresh, x)
+    assert [product_rule_check(warm, g, h, 2) for g, h in pairs] == [
+        product_rule_check(fresh, g, h, 2) for g, h in pairs
+    ]
+
+
+def test_warm_memo_agrees_with_a_fresh_instance_on_failures():
+    # the same with the corrupted endomorphism, whose checks fail
+    warm = _CorruptedEndo(2, [DensePoly.x(2)])
+    rng = random.Random(67)
+    for _ in range(5):
+        product_rule_check(warm, warm.random_element(rng), warm.random_element(rng), 3)
+    fresh = _CorruptedEndo(2, [DensePoly.x(2)])
+    pairs = [(warm.random_element(rng), warm.random_element(rng)) for _ in range(8)]
+    results = [product_rule_check(warm, g, h, 3) for g, h in pairs]
+    assert False in results
+    assert results == [product_rule_check(fresh, g, h, 3) for g, h in pairs]
 
 
 def test_elem_pow_makes_one_product_per_bit():

@@ -29,10 +29,13 @@ def test_constructor_validation():
         AffineInstance(4, 3)
     with pytest.raises(InstanceConfigError):
         AffineInstance(2, 1)
+    # n = 2 builds without a warning; the summary carries the note
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        AffineInstance(2, 2)
-    assert any("not finitely generated" in str(w.message) for w in caught)
+        inst = AffineInstance(2, 2)
+    assert caught == []
+    assert "not finitely generated" in inst.describe()["note"]
+    assert "note" not in make().describe()
 
 
 def test_make_element_rejects_off_subgroup():

@@ -1,17 +1,18 @@
 """Verification suites across all families, plus negative controls through
 broken test doubles and the failing-verification CLI exit code."""
 
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from selfsim.engine import ContractViolation, Instance, decompose
+from selfsim.engine import ContractViolation, Instance, WreathDecomp, act_on_word, decompose
 from selfsim.instances import load_config
 from selfsim.instances.lamplighter import LampElem, LampInstance
 from selfsim.ring import DensePoly
-from selfsim.verify import run_suite, word_bijectivity_check
+from selfsim.verify import run_suite, word_bijectivity_check, word_images
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,6 +95,41 @@ def test_word_bijectivity_helper():
     inst = load_config(CONFIGS / "lamplighter_p2_n2.json")
     rng = random.Random(0)
     assert word_bijectivity_check(inst, inst.random_element(rng), 5)
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["borel_m2_p3", "borel_m3_p2", "affine_n3_p2", "lamplighter_p3_n2", "wreath_localized_p2_d2"],
+)
+def test_word_images_match_act_on_word(config):
+    # the one tree walk yields act_on_word's image of every word, in the
+    # order of itertools.product
+    inst = load_config(CONFIGS / f"{config}.json")
+    g = inst.random_element(random.Random(71))
+    for level in range(5):
+        words = itertools.product(range(inst.degree), repeat=level)
+        assert word_images(inst, g, level) == [act_on_word(inst, g, w) for w in words]
+
+
+def test_word_bijectivity_detects_a_non_bijective_action(monkeypatch):
+    # Perm refuses a non-bijective level map, so the double replaces the
+    # decomposition the check reads: the identity's level map sends every
+    # letter to 0, which u, whose states are the identity, reaches at level 2
+    inst = load_config(CONFIGS / "lamplighter_p2_n1.json")
+    e = inst.identity()
+
+    class Fold:
+        images = (0,) * inst.degree
+
+    def folding(inst_, g):
+        dec = decompose(inst_, g)
+        return WreathDecomp(Fold(), dec.states) if g == e else dec
+
+    monkeypatch.setattr("selfsim.verify.decompose", folding)
+    u = inst.generators()["u"]
+    assert word_bijectivity_check(inst, u, 1)
+    assert not word_bijectivity_check(inst, u, 2)
+    assert not word_bijectivity_check(inst, u, 5)
 
 
 def test_cli_verify_failure_exits_2(monkeypatch, capsys, tmp_path):
