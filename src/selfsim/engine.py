@@ -26,17 +26,20 @@ finite-state and the search must never loop unboundedly.
 Word convention: the level-1 letter is the leftmost letter of a word;
 sigma acts on it and the state at that letter acts on the suffix.
 
-Decompositions are pure and memoized per instance, in four dicts that
+Decompositions are pure and memoized per instance, in five dicts that
 live as long as the instance.  `_decomp_cache` maps g to its
-decomposition.  `_intern_pool` keeps one shared object per element value:
-a decomposition passes g and each of its states through it, so equal
-states are the same object and a later lookup hits on identity before
-`__eq__` runs.  `_prule_cache` maps a verified pair (a, b) to the depth
-it was verified to.  `_product_cache` maps an operand pair (a_i, b_j) of
-`product_rule_check` to the interned state its product was verified
-against, so a known product is not recomputed; the comparison at each
-node still runs.  Breadth-first searches visit canonical elements in
-discovery order, so all outputs are deterministic.
+decomposition.  `_perm_pool` maps an image tuple to the one `Perm` that
+every decomposition with those level images shares; a tuple is checked
+to be a bijection on first sight, and one that is not is never pooled,
+so it raises each time.  `_intern_pool` keeps one shared object per
+element value: a decomposition passes g and each of its states through
+it, so equal states are the same object and a later lookup hits on
+identity before `__eq__` runs.  `_prule_cache` maps a verified pair
+(a, b) to the depth it was verified to.  `_product_cache` maps an
+operand pair (a_i, b_j) of `product_rule_check` to the interned state its
+product was verified against, so a known product is not recomputed; the
+comparison at each node still runs.  Breadth-first searches visit
+canonical elements in discovery order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -67,10 +70,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def then(self, other: "Perm") -> "Perm":
-        """The composite acting as self first, then other."""
-        return Perm(tuple(other.images[i] for i in self.images))
 
     def inverse(self) -> "Perm":
         out = [0] * len(self.images)
@@ -113,7 +112,7 @@ class Perm:
         return f"Perm{self.images}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WreathDecomp:
     """A level permutation together with the m subtree states."""
 
@@ -284,6 +283,10 @@ class Instance(ABC):
     def _product_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def _perm_pool(self) -> dict:
+        return {}
+
 
 def decompose(inst: Instance, g) -> WreathDecomp:
     """Compute (and memoize) the wreath decomposition of g."""
@@ -292,10 +295,15 @@ def decompose(inst: Instance, g) -> WreathDecomp:
     if hit is not None:
         return hit
     images, states = inst.letters(g)
-    try:
-        perm = Perm(images)
-    except ValueError as exc:
-        raise ContractViolation(str(exc)) from exc
+    images = tuple(images)
+    perms = inst._perm_pool
+    perm = perms.get(images)
+    if perm is None:
+        try:
+            perm = Perm(images)
+        except ValueError as exc:
+            raise ContractViolation(str(exc)) from exc
+        perms[images] = perm
     intern = inst._intern_pool.setdefault
     dec = WreathDecomp(perm, tuple([intern(s, s) for s in states]))
     cache[intern(g, g)] = dec
@@ -344,12 +352,14 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
         da = decompose(inst, a)
         db = decompose(inst, b)
         dab = decompose(inst, ab)
-        if dab.perm != da.perm.then(db.perm):
+        a_images, b_images = da.perm.images, db.perm.images
+        # sigma_ab must be sigma_a then sigma_b
+        if dab.perm.images != tuple([b_images[i] for i in a_images]):
             return False
         triples = []
         for i in range(m):
             ai = da.states[i]
-            bi = db.states[da.perm(i)]
+            bi = db.states[a_images[i]]
             abi = dab.states[i]
             expected = products.get((ai, bi))
             if expected is None:

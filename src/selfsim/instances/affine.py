@@ -48,6 +48,8 @@ class AffineElem:
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, AffineElem) and self.v == other.v and self.b == other.b
 
     def __hash__(self) -> int:

@@ -85,6 +85,8 @@ class BorelElem:
         self.exps = exps
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, BorelElem) and self.mat == other.mat
 
     def __hash__(self) -> int:

@@ -47,6 +47,7 @@ from ..ring import (
     divide_exact,
     eval_at_one,
     validate_config,
+    vec,
 )
 from . import InstanceConfigError
 
@@ -58,10 +59,12 @@ class LampElem:
 
     def __init__(self, r: SFraction, q):
         self.r = r
-        self.q = tuple(q)
+        self.q = vec(tuple(q))
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, LampElem) and self.r == other.r and self.q == other.q
 
     def __hash__(self) -> int:

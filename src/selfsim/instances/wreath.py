@@ -67,6 +67,7 @@ from ..ring import (
     MultiLaurent,
     MultiLocalizedRing,
     is_prime,
+    vec,
 )
 from . import InstanceConfigError
 
@@ -78,11 +79,13 @@ class WreathElem:
 
     def __init__(self, r, q, y=None):
         self.r = r
-        self.q = tuple(q)
-        self.y = tuple(y) if y is not None else None
+        self.q = vec(tuple(q))
+        self.y = vec(tuple(y)) if y is not None else None
         self._hash = None
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, WreathElem)
             and self.r == other.r
@@ -245,12 +248,14 @@ class WreathInstance(Instance):
         return images, states
 
     def _sigma(self, w) -> tuple:
-        """(w_d, w_1/p, w_2, ..., w_{d-1}); requires p | w_1."""
+        """(w_d, w_1/p, w_2, ..., w_{d-1}) as a pooled vector (`ring.vec`),
+        so the term keys of F and the state exponents are shared; requires
+        p | w_1."""
         if w[0] % self.p:
             raise NotInH("first exponent is not divisible by p")
         if self.d == 1:
-            return (w[0] // self.p,)
-        return (w[-1], w[0] // self.p) + w[1:-1]
+            return vec((w[0] // self.p,))
+        return vec((w[-1], w[0] // self.p) + w[1:-1])
 
     def _f(self, num: MultiLaurent, j: int = 0) -> MultiLaurent:
         """f(x_1^{-j} num) for the linear extension f of the a-part

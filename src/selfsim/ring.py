@@ -41,7 +41,12 @@ scalar, a quotient) goes straight to `_raw`; the others (sums, products,
 remainders) pass through the one reduce-and-trim helper `_canon` first.
 
 All values are immutable after construction and safe to share; hashes are
-computed on first use.
+computed on first use.  Exponent vectors are shared too: `vec(t)` returns
+the one pooled tuple equal to t, and a fraction's denominator vector is
+stored through it, so the few distinct vectors of a long run are not
+copied into every memoized value.  A `MultiLaurent` hashes the frozenset
+of its terms, so it keeps no sorted copy of them; `key` and `render` sort
+on demand.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ from dataclasses import dataclass, field
 from operator import add
 
 NEG_INF = float("-inf")
+
+
+_VECS: dict = {}
+
+
+def vec(t: tuple) -> tuple:
+    """The pooled tuple equal to the tuple t, one object per value."""
+    return _VECS.setdefault(t, t)
 
 
 class NotDivisible(ArithmeticError):
@@ -333,7 +346,7 @@ class _LocalFraction:
             raise ValueError("use the ring's fraction() or canonicalize()")
         self.ring = ring
         self.num = num
-        self.den = tuple(den)
+        self.den = vec(tuple(den))
         self._hash = None
 
     @property
@@ -398,6 +411,8 @@ class _LocalFraction:
         return ring._cancel(num, den, raised)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             other.__class__ is self.__class__
             and self.num == other.num
@@ -677,7 +692,7 @@ def validate_config(p: int, polys, require_one_at_one: bool = False) -> Validati
 class MultiLaurent:
     """A sparse Laurent polynomial over F_p in d variables."""
 
-    __slots__ = ("p", "d", "terms", "_key")
+    __slots__ = ("p", "d", "terms", "_hash")
 
     def __init__(self, p: int, d: int, terms: dict | None = None):
         self.p = p
@@ -692,7 +707,7 @@ class MultiLaurent:
                         raise ValueError("exponent vector length mismatch")
                     clean[t] = c
         self.terms = clean
-        self._key = None
+        self._hash = None
 
     @classmethod
     def _raw(cls, p: int, d: int, terms: dict) -> "MultiLaurent":
@@ -701,14 +716,13 @@ class MultiLaurent:
         out.p = p
         out.d = d
         out.terms = terms
-        out._key = None
+        out._hash = None
         return out
 
     @property
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
-        return self._key
+        """The (exponents, coefficient) pairs in sorted order."""
+        return tuple(sorted(self.terms.items()))
 
     @staticmethod
     def zero(p: int, d: int) -> "MultiLaurent":
@@ -858,7 +872,9 @@ class MultiLaurent:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.d, self.key))
+        if self._hash is None:
+            self._hash = hash((self.p, self.d, frozenset(self.terms.items())))
+        return self._hash
 
     def render(self) -> str:
         if self.is_zero:

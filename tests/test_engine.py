@@ -27,7 +27,7 @@ from selfsim.engine import (
 from selfsim.instances import load_config
 from selfsim.instances.borel import BorelInstance
 from selfsim.instances.lamplighter import LampInstance
-from selfsim.ring import DensePoly
+from selfsim.ring import DensePoly, vec
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,8 +52,7 @@ def test_perm_validation_and_composition():
         Perm((0, 0))
     a = Perm((1, 2, 0))
     b = Perm((0, 2, 1))
-    assert a.then(b).images == (2, 1, 0)
-    assert a.inverse().then(a).is_identity
+    assert a.inverse().images == (2, 0, 1) and b.inverse() == b
     assert Perm.identity(3).cycles() == "()"
     assert a.cycles() == "(0 1 2)"
 
@@ -572,6 +571,127 @@ def test_decompose_interns_equal_elements(config):
     for (a, b), ab in inst._product_cache.items():
         assert pool[a] is a and pool[b] is b and pool[ab] is ab
         assert ab == inst.multiply(a, b)
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_decompositions_with_equal_images_share_one_perm(config):
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(71)
+    for _ in range(2):
+        assert product_rule_check(inst, inst.random_element(rng), inst.random_element(rng), 2)
+    perms = {}
+    for dec in inst._decomp_cache.values():
+        assert perms.setdefault(dec.perm.images, dec.perm) is dec.perm
+    assert perms == inst._perm_pool and len(perms) < len(inst._decomp_cache)
+    assert all(inst._perm_pool[images] is perm for images, perm in perms.items())
+
+
+def _pooled_vectors(elem) -> list:
+    """The exponent vectors an element stores through `ring.vec`: q and y,
+    and the denominator vector of a fraction r.  A Borel element has none
+    (its states reuse the exps of the element they come from)."""
+    r = getattr(elem, "r", None)
+    out = [getattr(elem, "q", None), getattr(elem, "y", None), getattr(r, "den", None)]
+    return [v for v in out if v is not None]
+
+
+@pytest.mark.parametrize("config", ["wreath_localized_p2_d2", "lamplighter_p3_n2", "borel_m2_p3"])
+def test_memoized_elements_share_their_exponent_vectors(config):
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(73)
+    for _ in range(3):
+        assert product_rule_check(inst, inst.random_element(rng), inst.random_element(rng), 3)
+    vectors = {}
+    for e in inst._intern_pool:
+        for v in _pooled_vectors(e):
+            assert vectors.setdefault(v, v) is v and vec(v) is v
+    assert bool(vectors) == (inst.family != "borel")
+    if inst.family == "wreath":
+        # F's term keys come from the pooled sigma
+        assert any(vec(k) is k for e in inst._intern_pool for k in e.r.num.terms)
+
+
+class _FoldingLetters(LampInstance):
+    """Test double whose `letters` sends every letter to 0 (not a
+    bijection) for one chosen element, `bad`."""
+
+    bad = None
+
+    def letters(self, g):
+        images, states = super().letters(g)
+        return ([0] * len(images) if g == self.bad else images), states
+
+
+def test_non_bijective_letters_raise_on_every_call():
+    inst = _FoldingLetters(3, [DensePoly.x(3)])
+    inst.bad = inst.generators()["u"]
+    decompose(inst, inst.identity())
+    pooled = dict(inst._perm_pool)
+    for _ in range(2):
+        with pytest.raises(ContractViolation, match="not a bijection"):
+            decompose(inst, inst.bad)
+    assert inst._perm_pool == pooled and inst.bad not in inst._decomp_cache
+
+
+class _CountingEq:
+    """A field value that counts the calls of its `__eq__`."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        _CountingEq.calls += 1
+        return isinstance(other, _CountingEq) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def _twins_with_a_counting_field():
+    """(element, equal element as another object) for each element class,
+    the field compared first wrapped in `_CountingEq`."""
+    from selfsim.instances.affine import AffineElem
+    from selfsim.instances.borel import BorelElem
+    from selfsim.instances.lamplighter import LampElem
+    from selfsim.instances.wreath import WreathElem
+    from selfsim.ring import MultiSFraction, SFraction
+
+    def w(x):
+        return _CountingEq(x)
+
+    lamp_inst = lamp(3)
+    wreath = load_config(CONFIGS / "wreath_localized_p2_d2.json")
+    borel = load_config(CONFIGS / "borel_m2_p2.json")
+    affine = load_config(CONFIGS / "affine_n3_p2.json")
+    g = wreath.generators()["a"]
+    u = lamp_inst.generators()["u"]
+    b = borel.generators()["x1_1"]
+    v = affine.random_element(random.Random(3))
+    one, mone = lamp_inst.ring.one, wreath.mring.one
+    return {
+        "WreathElem": [WreathElem(w(g.r), g.q, g.y) for _ in range(2)],
+        "LampElem": [LampElem(w(u.r), u.q) for _ in range(2)],
+        "AffineElem": [AffineElem(v.v, w(v.b)) for _ in range(2)],
+        "BorelElem": [BorelElem(w(b.mat), b.exps) for _ in range(2)],
+        "SFraction": [SFraction(one.ring, w(one.num), one.den, _canonical=True) for _ in range(2)],
+        "MultiSFraction": [
+            MultiSFraction(mone.ring, w(mone.num), mone.den, _canonical=True) for _ in range(2)
+        ],
+    }
+
+
+@pytest.mark.parametrize("cls", sorted(_twins_with_a_counting_field()))
+def test_element_equal_to_itself_compares_no_field(cls):
+    x, twin = _twins_with_a_counting_field()[cls]
+    _CountingEq.calls = 0
+    assert x == x and not x != x
+    assert _CountingEq.calls == 0
+    # the wrapper does count: an equal element that is another object
+    # compares its fields
+    assert x == twin and x is not twin
+    assert _CountingEq.calls == 1
 
 
 @pytest.mark.parametrize("config", FAMILY_CONFIGS)

@@ -20,6 +20,7 @@ from selfsim.ring import (  # noqa: E402
     MultiLocalizedRing,
     canonicalize,
     validate_config,
+    vec,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -319,3 +320,32 @@ def test_product_cancels_on_reducible_localizer(p, factors):
     u, v = (one.mul_univariate(DensePoly(p, f), 0) for f in factors)
     r = mr.fraction(u, (1, 0)) * mr.fraction(v, (1, 0))
     assert r.num == one and r.den == (1, 0)
+
+
+laurent_terms = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * D), st.integers(1, 6), max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), laurent_terms, laurent_terms, st.randoms(use_true_random=False))
+def test_equal_laurent_values_hash_alike_in_any_term_order(p, terms, extra, rnd):
+    a = MultiLaurent(p, D, terms)
+    items = list(terms.items())
+    rnd.shuffle(items)
+    shuffled = MultiLaurent(p, D, dict(items))
+    # extra terms added first and cancelled again: another insertion order
+    e = MultiLaurent(p, D, extra)
+    cancelled = (e + shuffled) - e
+    for b in (shuffled, cancelled):
+        assert a == b and hash(a) == hash(b) and a.render() == b.render()
+    # render lists the terms in sorted exponent order
+    want = [MultiLaurent.monomial(p, D, x, c).render() for x, c in sorted(a.terms.items())]
+    assert a.render() == ("+".join(want) if want else "0")
+    assert a.key == tuple(sorted(a.terms.items()))
+
+
+@given(st.lists(st.integers(-3, 3), max_size=4))
+def test_vec_returns_one_object_per_value(t):
+    v = vec(tuple(t))
+    assert v == tuple(t) and vec(tuple(list(t))) is v and vec(v) is v
