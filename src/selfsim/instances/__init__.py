@@ -159,8 +159,6 @@ def load_config(source):
         localized = data.get("localized", False)
         if type(localized) is not bool:
             raise InstanceConfigError("wreath config key 'localized' must be true or false")
-        if "g" in data and not localized:
-            raise InstanceConfigError("wreath config key 'g' needs \"localized\": true")
         gpoly = poly(data["g"], "g") if "g" in data else None
         inst = WreathInstance(p, d, g=gpoly, localized=localized)
     if inst.degree > MAX_DEGREE:

@@ -4,7 +4,8 @@ Both localized rings are S^{-1}R for S generated by a basis b_0, ...,
 b_{n-1} of pairwise coprime elements of R: `LocalizedRing` inverts monic
 irreducible polynomials f_0 = x, f_1, ..., f_{n-1} of F_p[x], and
 `MultiLocalizedRing` inverts g(x_1), ..., g(x_d) in the Laurent ring
-F_p[x_1^{+-1}, ..., x_d^{+-1}].  Every element has a canonical form
+F_p[x_1^{+-1}, ..., x_d^{+-1}], or nothing (n = 0) when g is None.  Every
+element has a canonical form
 
     num / (b_0^{e_0} * b_1^{e_1} * ... * b_{n-1}^{e_{n-1}}),   e_i >= 0,
 
@@ -952,17 +953,19 @@ class MultiSFraction(_LocalFraction):
 
 class MultiLocalizedRing(_Localization):
     """Laurent polynomials in d variables with the powers of one polynomial
-    g inverted separately in each variable: denominators prod g(x_i)^{z_i}."""
+    g inverted separately in each variable: denominators prod g(x_i)^{z_i}.
+    With g = None nothing is inverted: the Laurent ring itself, with no
+    denominator axes (n = 0, every den is ()) and g(1) read as 1."""
 
     fraction_type = MultiSFraction
 
-    def __init__(self, p: int, d: int, g: DensePoly):
-        super().__init__(p, d)
-        if g.is_zero:
+    def __init__(self, p: int, d: int, g: DensePoly | None):
+        super().__init__(p, 0 if g is None else d)
+        if g is not None and g.is_zero:
             raise ValueError("localizing polynomial must be nonzero")
         self.d = d
         self.g = g
-        self.g_at_one = g.eval(1)
+        self.g_at_one = 1 if g is None else g.eval(1)
         self.zero = self.from_laurent(MultiLaurent.zero(p, d))
         self.one = self.from_laurent(MultiLaurent.one(p, d))
 
@@ -976,4 +979,4 @@ class MultiLocalizedRing(_Localization):
         return num.divexact_univariate(self.g, i)
 
     def from_laurent(self, num: MultiLaurent) -> MultiSFraction:
-        return MultiSFraction(self, num, (0,) * self.d, _canonical=True)
+        return MultiSFraction(self, num, (0,) * self.n, _canonical=True)

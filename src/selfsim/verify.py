@@ -62,8 +62,9 @@ def _sample_elements(inst, rng, count):
     return [inst.random_element(rng) for _ in range(count)]
 
 
-def core_suite(inst, rng, pairs: int = 100, depth: int = 4) -> list[CheckResult]:
+def core_suite(inst, rng) -> list[CheckResult]:
     out = []
+    pairs, depth = 100, 4
     sample = _sample_elements(inst, rng, 20)
     out.append(
         CheckResult(

@@ -595,7 +595,9 @@ def _pooled_vectors(elem) -> list:
     return [v for v in out if v is not None]
 
 
-@pytest.mark.parametrize("config", ["wreath_localized_p2_d2", "lamplighter_p3_n2", "borel_m2_p3"])
+@pytest.mark.parametrize(
+    "config", ["wreath_base_p2_d2", "wreath_localized_p2_d2", "lamplighter_p3_n2", "borel_m2_p3"]
+)
 def test_memoized_elements_share_their_exponent_vectors(config):
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(73)

@@ -17,7 +17,7 @@ from selfsim.engine import (
 )
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.wreath import NotInH, WreathElem, WreathInstance, validate_localizer
-from selfsim.ring import DensePoly, MultiLaurent, canonicalize
+from selfsim.ring import DensePoly, MultiLaurent, MultiSFraction, canonicalize
 
 
 def P(p, *coeffs):
@@ -33,8 +33,7 @@ def localized(p=2, d=2):
 
 
 def mono(inst, exps, c=1):
-    m = MultiLaurent.monomial(inst.p, inst.d, exps, c)
-    return inst.mring.from_laurent(m) if inst.localized else m
+    return inst.mring.from_laurent(MultiLaurent.monomial(inst.p, inst.d, exps, c))
 
 
 def test_validate_localizer():
@@ -46,6 +45,13 @@ def test_validate_localizer():
         WreathInstance(2, 2, g=P(2, 1, 1), localized=True)
     with pytest.raises(InstanceConfigError):
         WreathInstance(2, 2, localized=True)
+
+
+def test_g_without_localized_is_rejected():
+    with pytest.raises(InstanceConfigError, match="^wreath config key 'g' needs \"localized\": true$"):
+        WreathInstance(2, 2, g=P(2, 1, 1, 1))
+    with pytest.raises(InstanceConfigError, match="needs"):
+        load_config({"family": "wreath", "p": 2, "d": 2, "g": [1, 1, 1], "localized": False})
 
 
 def test_load_config():
@@ -101,24 +107,25 @@ def test_coset_index_closed_form_matches_search():
 
 def test_endo_on_basic_exponents():
     inst = base(2, 3)
+    lift = inst.mring.from_laurent
     # a^{x_1 - 1} -> a
-    r = MultiLaurent(2, 3, {(1, 0, 0): 1, (0, 0, 0): 1})  # x_1 - 1 over F_2
+    r = lift(MultiLaurent(2, 3, {(1, 0, 0): 1, (0, 0, 0): 1}))  # x_1 - 1 over F_2
     g = WreathElem(r, (0, 0, 0))
     img = inst.endo_f(g)
-    assert img.r == MultiLaurent.one(2, 3)
+    assert img.r == inst.mring.one
     # a^{x_2 - 1} -> identity (x_2 lies in the subgroup lattice)
-    r = MultiLaurent(2, 3, {(0, 1, 0): 1, (0, 0, 0): 1})
+    r = lift(MultiLaurent(2, 3, {(0, 1, 0): 1, (0, 0, 0): 1}))
     img = inst.endo_f(WreathElem(r, (0, 0, 0)))
     assert img.r.is_zero
     # a^{x_2 x_1 - 1} -> a^{x_3}
-    r = MultiLaurent(2, 3, {(1, 1, 0): 1, (0, 0, 0): 1})
+    r = lift(MultiLaurent(2, 3, {(1, 1, 0): 1, (0, 0, 0): 1}))
     img = inst.endo_f(WreathElem(r, (0, 0, 0)))
-    assert img.r == MultiLaurent.monomial(2, 3, (0, 0, 1))
+    assert img.r == mono(inst, (0, 0, 1))
 
 
 def test_endo_on_torsion_free_part():
     inst = base(2, 3)
-    zero = MultiLaurent.zero(2, 3)
+    zero = inst.mring.zero
     # x_1^p -> x_2, x_2 -> x_3, x_3 -> x_1
     assert inst.endo_f(WreathElem(zero, (2, 0, 0))).q == (0, 1, 0)
     assert inst.endo_f(WreathElem(zero, (0, 1, 0))).q == (0, 0, 1)
@@ -128,9 +135,9 @@ def test_endo_on_torsion_free_part():
 def test_endo_rejects_non_members():
     inst = base(2, 2)
     with pytest.raises(NotInH):
-        inst.endo_f(WreathElem(MultiLaurent.one(2, 2), (0, 0)))
+        inst.endo_f(WreathElem(inst.mring.one, (0, 0)))
     with pytest.raises(NotInH):
-        inst.endo_f(WreathElem(MultiLaurent.zero(2, 2), (1, 0)))
+        inst.endo_f(WreathElem(inst.mring.zero, (1, 0)))
 
 
 def test_endo_homomorphism_on_h():
@@ -154,10 +161,10 @@ def test_localized_endo_reduces_to_base_on_trivial_denominator():
     flat = base()
     for _ in range(40):
         gb = flat.random_h_element(rng)
-        gl = WreathElem(loc.mring.from_laurent(gb.r), gb.q, (0, 0))
+        gl = WreathElem(loc.mring.from_laurent(gb.r.num), gb.q, (0, 0))
         img_l = loc.endo_f(gl)
         img_b = flat.endo_f(gb)
-        assert img_l.r == loc.mring.from_laurent(img_b.r)
+        assert img_l.r == loc.mring.from_laurent(img_b.r.num)
         assert img_l.q == img_b.q and img_l.y == (0, 0)
 
 
@@ -253,7 +260,7 @@ def test_fused_multiply_and_invert_match_public_operations(p, d, loc):
     def shifted(r, q, y):
         # r * x^{-q} * g^{-y}, one public operation per factor
         out = r.mul_monomial(tuple(-e for e in q))
-        for axis, k in enumerate(y or ()):
+        for axis, k in enumerate(y):
             out = out.mul_g_power(axis, -k)
         return out
 
@@ -263,10 +270,9 @@ def test_fused_multiply_and_invert_match_public_operations(p, d, loc):
         assert ab.r == a.r + shifted(b.r, a.q, a.y)
         inv = inst.invert(a)
         assert inv.r == -shifted(a.r, inv.q, inv.y)
-        if loc:
-            for r in (ab.r, inv.r):
-                c = canonicalize(inst.mring, r.num, r.den)
-                assert (r.num, r.den) == (c.num, c.den)
+        for r in (ab.r, inv.r):
+            c = canonicalize(inst.mring, r.num, r.den)
+            assert (r.num, r.den) == (c.num, c.den)
 
 
 @pytest.mark.parametrize("p, d, loc", CLOSED_FORM_CASES)
@@ -296,11 +302,32 @@ def test_F_vanishes_on_numerators_in_x1_to_the_p(p, d, loc):
             den = (p * rng.randrange(2),) + tuple(rng.randrange(3) for _ in range(d - 1))
             r = inst.mring.fraction(num, den)
         else:
-            r = num
+            r = inst.mring.from_laurent(num)
         assert F(inst, r).is_zero
     # but not on 1 / g(x_1): the clearing power brings in other x_1-exponents
     if loc:
         assert not F(inst, inst.mring.fraction(MultiLaurent.one(p, d), (1,) + (0,) * (d - 1))).is_zero
+
+
+@pytest.mark.parametrize("p, d, loc", [case for case in CLOSED_FORM_CASES if case[0] < 5])
+def test_both_families_share_one_representation(p, d, loc):
+    # the base family is the localized one with nothing inverted and no y:
+    # every element has a fraction r, with len(y) == len(r.den) == mring.n
+    inst = make(p, d, loc)
+    n = d if loc else 0
+    assert inst.mring.n == n
+    rng = random.Random(500 * p + 10 * d + loc)
+    hs = [inst.random_h_element(rng) for _ in range(4)]
+    elems = list(inst.generators().values()) + [inst.random_element(rng) for _ in range(4)] + hs
+    elems += [inst.multiply(a, b) for a, b in zip(elems, reversed(elems))]
+    elems += [inst.invert(a) for a in elems]
+    elems += [s for g in elems for s in inst.letters(g)[1]]
+    elems += [inst.endo_f(h) for h in hs]
+    for g in elems:
+        assert isinstance(g.r, MultiSFraction) and g.r.ring is inst.mring
+        assert len(g.y) == len(g.r.den) == n
+        if not loc:
+            assert g.y == () and g.r.den == ()
 
 
 def test_letters_reports_a_wrong_coset_formula(monkeypatch):

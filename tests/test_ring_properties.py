@@ -345,6 +345,30 @@ def test_equal_laurent_values_hash_alike_in_any_term_order(p, terms, extra, rnd)
     assert a.key == tuple(sorted(a.terms.items()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 3), st.data())
+def test_nothing_inverted_ring_is_laurent_arithmetic(p, d, data):
+    # the base wreath family's ring: g = None, no denominator axes
+    ring = MultiLocalizedRing(p, d, None)
+    assert ring.n == 0 and ring.g_at_one == 1
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * d), st.integers(1, p - 1), max_size=4)
+    a, b = (MultiLaurent(p, d, data.draw(terms)) for _ in range(2))
+    fa, fb = ring.from_laurent(a), ring.from_laurent(b)
+    exps = data.draw(st.tuples(*[st.integers(-3, 3)] * d))
+    pairs = [
+        (fa, a),
+        (fa + fb, a + b),
+        (fa * fb, a * b),
+        (fa.add_mul(fb, exps, ()), a + b.mul_monomial(exps)),
+        (ring.zero.add_mul(fb, exps, ()), b.mul_monomial(exps)),
+    ]
+    for r, want in pairs:
+        assert r.num == want and r.den == ()
+        assert canonical(r)
+        assert r.eval_at_ones() == want.aug()
+        assert r.render() == want.render()
+
+
 @given(st.lists(st.integers(-3, 3), max_size=4))
 def test_vec_returns_one_object_per_value(t):
     v = vec(tuple(t))
