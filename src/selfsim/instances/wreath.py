@@ -58,6 +58,14 @@ from p products N * g(x_1)^c and no group multiplication; in the base
 family the index is I*p + J.  The generic `Instance.letters` stays the
 oracle.
 
+Shared values of F.  The values of F depend on r alone: `_f_values` maps
+each a-part r to its p*nk values, so elements that differ only in q and
+y compute them once.  Each new value passes once through `_value_pool`,
+which keeps one object per value of F across all a-parts.  The state at
+a^i x_1^j y_1^k does not depend on i, so it is one object per (j, k),
+held by its p letters.  Both dicts live as long as the instance, like
+the engine's memos; the cofactor check still runs at every letter.
+
 These groups are not claimed finite-state; state searches must run under
 a cap.  The admissible localizing polynomials are those with at least two
 terms (not c x^j) and g(1) != 0.
@@ -144,6 +152,9 @@ class WreathInstance(Instance):
         # the letter digit k of y_1^k takes p values, or only 0 in the base family
         self.nk = p if localized else 1
         self._identity = WreathElem(self.mring.zero, (0,) * d, (0,) * self.mring.n)
+        # a-part r -> its p*nk values of F, and one object per value of F
+        self._f_values: dict = {}
+        self._value_pool: dict = {}
 
     # -- contract -------------------------------------------------------------
 
@@ -195,39 +206,68 @@ class WreathInstance(Instance):
         return (i * p + j) * self.nk + k
 
     def letters(self, g: WreathElem) -> tuple:
-        """The closed form of the module docstring: no group products, and
-        one value of F per (j, k), shared by the p letters a^i x_1^j y_1^k."""
+        """The closed form of the module docstring: no group products.  The
+        p*nk values of F come from `_parts(g.r)`, and the state at
+        a^i x_1^j y_1^k does not depend on i, so it is built once per
+        (j, k) and the p letters hold the same object.  The cofactor check
+        runs at every letter."""
         p, nk, n, g1 = self.p, self.nk, self.mring.n, self.mring.g_at_one
-        q1, q_rest = g.q[0], g.q[1:]
-        y1, y_rest = sum(g.y[:1]), g.y[1:]  # y_1 reads 0 when y is empty
-        y_rest_sum = sum(y_rest)
+        q1, y1 = g.q[0], sum(g.y[:1])  # y_1 reads 0 when y is empty
+        y_sum = sum(g.y)
         eps = g.r.eval_at_ones()
         g1_inv = pow(g1, p - 2, p)
-        parts = {}
+        parts = self._parts(g.r)
+        # per k: the augmentation of g(x_1)^{-k} r, the y-exponent sum ys
+        # of y + k e_1, and g(1)^(K - ys) for K = (k + y_1) mod p
+        per_k = []
         for k in range(nk):
-            num, w = self._cleared(g.r, k)
-            for j in range(p):
-                parts[j, k] = self._F(num, w, j)
+            ys = k + y_sum
+            g_k = pow(g1, ((k + y1) % p - ys) % (p - 1), p)
+            per_k.append((eps * pow(g1_inv, k, p), ys, g_k))
+        shared = []
+        for j in range(p):
+            q = self._sigma((j + q1 - (j + q1) % p,) + g.q[1:])
+            for k in range(nk):
+                y = self._sigma(((k + y1 - (k + y1) % p,) + g.y[1:])[:n])  # () when n = 0
+                shared.append(WreathElem(parts[j * nk + k], q, y))
         images, states = [], []
         for i in range(p):
             for j in range(p):
-                for k in range(nk):
+                for k, (eps_k, ys, g_k) in enumerate(per_k):
                     # t*g = (i + x_1^{-j} g(x_1)^{-k} r, q + j e_1, y + k e_1)
-                    eps_t = (i + eps * pow(g1_inv, k, p)) % p
-                    y_sum = k + y1 + y_rest_sum
-                    m = self._index(eps_t, j + q1, k + y1, y_sum)
-                    big_i, big_j, big_k = m // (p * nk), m // nk % p, m % nk
-                    # the cofactor t*g*t_m^{-1}: its exponents and augmentation
-                    q = (j + q1 - big_j,) + q_rest
-                    y = ((k + y1 - big_k,) + y_rest)[:n]  # () when n = 0
-                    eps_c = eps_t - big_i * pow(g1, (big_k - y_sum) % (p - 1), p)
-                    if q[0] % p or sum(y[:1]) % p or eps_c % p:
+                    eps_t = (i + eps_k) % p
+                    m = self._index(eps_t, j + q1, k + y1, ys)
+                    # the cofactor t*g*t_m^{-1} is in H: its x_1- and
+                    # y_1-exponents j + q_1 - J and k + y_1 - K vanish mod p,
+                    # and so does its augmentation
+                    if (
+                        m // nk % p != (j + q1) % p
+                        or m % nk != (k + y1) % p
+                        or (eps_t - m // (p * nk) * g_k) % p
+                    ):
                         raise ContractViolation(
                             f"cofactor at letter {len(images)} fails subgroup membership"
                         )
                     images.append(m)
-                    states.append(WreathElem(parts[j, k], self._sigma(q), self._sigma(y)))
+                    states.append(shared[j * nk + k])
         return images, states
+
+    def _parts(self, r) -> tuple:
+        """The p*nk values F(x_1^{-j} g(x_1)^{-k} r), at index j*nk + k,
+        memoized per a-part r in `_f_values`.  Each new value passes once
+        through the instance's `_value_pool`, so equal values of F are one
+        object across all a-parts."""
+        parts = self._f_values.get(r)
+        if parts is None:
+            pool = self._value_pool.setdefault
+            cleared = [self._cleared(r, k) for k in range(self.nk)]
+            parts = []
+            for j in range(self.p):
+                for num, w in cleared:
+                    v = self._F(num, w, j)
+                    parts.append(pool(v, v))
+            parts = self._f_values[r] = tuple(parts)
+        return parts
 
     def _sigma(self, w) -> tuple:
         """(w_d, w_1/p, w_2, ..., w_{d-1}) as a pooled vector (`ring.vec`),

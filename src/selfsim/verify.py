@@ -35,27 +35,50 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def word_images(inst, g, level: int) -> list:
-    """The images under g of all words of the given length, in the order
-    of itertools.product(range(m), repeat=level): one walk down the tree
-    that decomposes each prefix's state once, where `act_on_word` on
-    every word would decompose it once per word through it."""
-    nodes = [((), g)]
-    for _ in range(level):
-        deeper = []
-        for image, h in nodes:
-            dec = decompose(inst, h)
-            images = dec.perm.images
-            deeper += [(image + (images[i],), s) for i, s in enumerate(dec.states)]
-        nodes = deeper
-    return [image for image, _ in nodes]
+def _image_codes(inst, g, level: int, code: int = 0):
+    """Yield, for every word of the given length in the order of
+    itertools.product(range(m), repeat=level), the code of its image
+    (b_1, ..., b_L) under g, the base-m integer sum b_t m^(L-t).  One
+    depth-first walk that decomposes each inner node's state once, where
+    `act_on_word` on every word would decompose it once per word through
+    it; only the current path is alive."""
+    if not level:
+        yield code
+        return
+    dec = decompose(inst, g)
+    code *= inst.degree
+    if level == 1:
+        for b in dec.perm.images:
+            yield code + b
+        return
+    for b, s in zip(dec.perm.images, dec.states):
+        yield from _image_codes(inst, s, level - 1, code + b)
+
+
+def word_images(inst, g, level: int):
+    """Lazily yield the images under g of all words of the given length,
+    in the order of itertools.product(range(m), repeat=level)."""
+    m = inst.degree
+    for code in _image_codes(inst, g, level):
+        image = [0] * level
+        for t in range(level - 1, -1, -1):
+            code, image[t] = divmod(code, m)
+        yield tuple(image)
 
 
 def word_bijectivity_check(inst, g, level: int) -> bool:
-    """Extensional bijectivity of the action on all words of the given
-    length (prefix compatibility makes this cover the shorter levels)."""
-    images = word_images(inst, g, level)
-    return len(images) == inst.degree ** level == len(set(images))
+    """Extensional bijectivity of the action on all m^L words of length L
+    (prefix compatibility makes this cover the shorter levels).  Each
+    image code is marked in one bytearray of m^L bytes as the walk yields
+    it: a repeat, or a code outside [0, m^L), means the action is not a
+    bijection, and every mark must be set at the end."""
+    size = inst.degree ** level
+    seen = bytearray(size)
+    for code in _image_codes(inst, g, level):
+        if not 0 <= code < size or seen[code]:
+            return False
+        seen[code] = 1
+    return all(seen)
 
 
 def _sample_elements(inst, rng, count):

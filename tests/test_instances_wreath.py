@@ -3,6 +3,7 @@ subgroup, well-definedness of the localized endomorphism, transversals,
 and action probes."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from selfsim.engine import (
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.wreath import NotInH, WreathElem, WreathInstance, validate_localizer
 from selfsim.ring import DensePoly, MultiLaurent, MultiSFraction, canonicalize
+from selfsim.verify import run_suite
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def P(p, *coeffs):
@@ -339,6 +343,105 @@ def test_letters_reports_a_wrong_coset_formula(monkeypatch):
         inst.letters(g)
     with pytest.raises(ContractViolation):
         Instance.letters(inst, g)
+
+
+@pytest.mark.parametrize("shift", ["J", "K"])
+def test_letters_reports_a_wrong_letter_digit(monkeypatch, shift):
+    # a coset formula off in the x_1- or y_1-digit of the letter
+    inst = localized()
+    p, nk = inst.p, inst.nk
+    g = inst.generators()["a"]
+    right = inst._index
+
+    def wrong(*args):
+        m = right(*args)
+        i, j, k = m // (p * nk), m // nk % p, m % nk
+        if shift == "J":
+            j = (j + 1) % p
+        else:
+            k = (k + 1) % nk
+        return (i * p + j) * nk + k
+
+    monkeypatch.setattr(inst, "_index", wrong)
+    with pytest.raises(ContractViolation):
+        inst.letters(g)
+    with pytest.raises(ContractViolation):
+        Instance.letters(inst, g)
+
+
+# -- values of F shared across states ---------------------------------------------------
+
+
+@pytest.mark.parametrize("p, d, loc", [case for case in CLOSED_FORM_CASES if case[0] < 5])
+def test_warm_memo_letters_match_generic_oracle_across_q_and_y(p, d, loc):
+    # elements that share their a-part r hit the memo of its values of F,
+    # whatever their q and y
+    rng = random.Random(600 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+    elems = samples(inst, rng, 2)
+    for g in elems:
+        inst.letters(g)
+    warm = len(inst._f_values)
+    for g in elems:
+        for _ in range(2):
+            h = inst.random_element(rng)
+            shifted = WreathElem(g.r, h.q, h.y)
+            assert inst.letters(shifted) == Instance.letters(inst, shifted)
+    assert len(inst._f_values) == warm
+    if loc:
+        # a-parts with one numerator over different denominators are
+        # different keys
+        for g in elems:
+            for den in ((0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)):
+                other = WreathElem(inst.mring.fraction(g.r.num, den), g.q, g.y)
+                assert inst.letters(other) == Instance.letters(inst, other)
+
+
+@pytest.mark.parametrize("p, d, loc", [case for case in CLOSED_FORM_CASES if case[0] < 5])
+def test_letters_with_the_same_j_and_k_hold_one_state(p, d, loc):
+    rng = random.Random(700 * p + 10 * d + loc)
+    inst = make(p, d, loc)
+    nk = inst.nk
+    for g in samples(inst, rng, 3):
+        states = inst.letters(g)[1]
+        for i in range(p):
+            for jk in range(p * nk):
+                assert states[i * p * nk + jk] is states[jk]
+
+
+@pytest.fixture(scope="module")
+def core_run():
+    inst = load_config(CONFIGS / "wreath_localized_p2_d2.json")
+    results = run_suite("core", inst, seed=0)
+    return inst, results
+
+
+def test_core_suite_checks_the_same_work(core_run):
+    # the memo sizes of the seed-0 core suite, pinned: sharing values of F
+    # must not change what the suite decomposes, interns or verifies
+    inst, results = core_run
+    assert all(r.passed for r in results)
+    sizes = (len(inst._decomp_cache), len(inst._intern_pool), len(inst._product_cache), len(inst._prule_cache))
+    assert sizes == (9044, 14550, 17263, 6676)
+
+
+def test_pooled_values_of_F_are_one_object_per_value(core_run):
+    inst, _ = core_run
+    values = [v for parts in inst._f_values.values() for v in parts]
+    assert len({id(v) for v in values}) == len(set(values)) == len(inst._value_pool)
+    assert all(inst._value_pool[v] is v for v in values)
+    # every state a decomposition produced holds a pooled value
+    for dec in inst._decomp_cache.values():
+        assert all(inst._value_pool.get(s.r) is s.r for s in dec.states)
+
+
+def test_corrupted_f_fails_the_core_suite(monkeypatch):
+    inst = load_config(CONFIGS / "wreath_localized_p2_d2.json")
+    right = inst._f
+    one = MultiLaurent.one(inst.p, inst.d)
+    monkeypatch.setattr(inst, "_f", lambda num, j=0: right(num, j) + one)
+    failed = {r.name for r in run_suite("core", inst, seed=0) if not r.passed}
+    assert "product_rule" in failed
 
 
 # -- engine interplay --------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Verification suites across all families, plus negative controls through
 broken test doubles and the failing-verification CLI exit code."""
 
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,7 +110,40 @@ def test_word_images_match_act_on_word(config):
     g = inst.random_element(random.Random(71))
     for level in range(5):
         words = itertools.product(range(inst.degree), repeat=level)
-        assert word_images(inst, g, level) == [act_on_word(inst, g, w) for w in words]
+        assert list(word_images(inst, g, level)) == [act_on_word(inst, g, w) for w in words]
+
+
+SHIPPED = sorted(f.stem for f in CONFIGS.glob("*.json") if not f.stem.startswith("invalid"))
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_streaming_word_check_agrees_with_the_image_set(config):
+    # the streaming check against the set of act_on_word's images of
+    # every word, on random elements at levels 0-4
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(83)
+    m = inst.degree
+    for _ in range(2):
+        g = inst.random_element(rng)
+        for level in range(5):
+            images = [act_on_word(inst, g, w) for w in itertools.product(range(m), repeat=level)]
+            assert word_bijectivity_check(inst, g, level) == (len(set(images)) == m**level)
+
+
+def test_word_check_holds_only_the_marks_in_memory():
+    # on a warm instance the check's transient is its m^L marks and the
+    # walk's current path, not one entry per word (5 MB at level 5)
+    inst = load_config(CONFIGS / "wreath_localized_p2_d2.json")
+    g = inst.random_element(random.Random(89))
+    assert word_bijectivity_check(inst, g, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert word_bijectivity_check(inst, g, 5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 2**20
 
 
 def test_word_bijectivity_detects_a_non_bijective_action(monkeypatch):
@@ -130,6 +165,28 @@ def test_word_bijectivity_detects_a_non_bijective_action(monkeypatch):
     assert word_bijectivity_check(inst, u, 1)
     assert not word_bijectivity_check(inst, u, 2)
     assert not word_bijectivity_check(inst, u, 5)
+
+
+@pytest.mark.parametrize("level_map", [(0,), (0, 1, 2), (0, 1, 1)])
+def test_word_bijectivity_counts_every_word(monkeypatch, level_map):
+    # a level map of the identity with one letter too few (every image
+    # distinct, some word missing) or one too many (more words than m^L,
+    # out of range or repeated)
+    inst = load_config(CONFIGS / "lamplighter_p2_n1.json")
+    e = inst.identity()
+
+    class Resized:
+        images = level_map
+
+    def resized(inst_, g):
+        dec = decompose(inst_, g)
+        return WreathDecomp(Resized(), (e,) * len(level_map)) if g == e else dec
+
+    monkeypatch.setattr("selfsim.verify.decompose", resized)
+    u = inst.generators()["u"]
+    assert word_bijectivity_check(inst, u, 1)
+    for level in (2, 3):
+        assert not word_bijectivity_check(inst, u, level)
 
 
 def test_cli_verify_failure_exits_2(monkeypatch, capsys, tmp_path):
