@@ -26,6 +26,13 @@ finite-state and the search must never loop unboundedly.
 Word convention: the level-1 letter is the leftmost letter of a word;
 sigma acts on it and the state at that letter acts on the suffix.
 
+Elements are tuples of canonical values, one named tuple class per
+family, so they compare and hash as tuples: two elements of one instance
+are equal exactly when their fields are.  No engine map mixes elements
+with other tuples.  `_decomp_cache` and `_intern_pool` hold elements
+only, `_prule_cache` and `_product_cache` pairs of elements only, and
+`_perm_pool` image tuples only.
+
 Decompositions are pure and memoized per instance, in five dicts that
 live as long as the instance.  `_decomp_cache` maps g to its
 decomposition.  `_perm_pool` maps an image tuple to the one `Perm` that
@@ -34,8 +41,8 @@ to be a bijection on first sight, and one that is not is never pooled,
 so it raises each time.  `_intern_pool` keeps one shared object per
 element value: a decomposition passes g and each of its states through
 it, so equal states are the same object and a later lookup hits on
-identity before `__eq__` runs.  `_prule_cache` maps a verified pair
-(a, b) to the depth it was verified to.  `_product_cache` maps an
+identity before any field is compared.  `_prule_cache` maps a verified
+pair (a, b) to the depth it was verified to.  `_product_cache` maps an
 operand pair (a_i, b_j) of `product_rule_check` to the interned state its
 product was verified against, so a known product is not recomputed; the
 comparison at each node still runs.  Breadth-first searches visit
@@ -123,9 +130,11 @@ class WreathDecomp:
 class Instance(ABC):
     """Capability set every concrete family provides to the engine.
 
-    Elements must be immutable, hashable, and equal exactly when they are
-    equal in the group (canonical forms).  The transversal is ordered with
-    t_0 in H (all families use t_0 = identity).
+    Elements are tuples of canonical values (a named tuple class per
+    family), compared and hashed as tuples, so they are equal exactly when
+    they are equal in the group.  The engine's maps never mix them with
+    other tuples.  The transversal is ordered with t_0 in H (all families
+    use t_0 = identity).
 
     A family must provide the abstract members: `degree`,
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,

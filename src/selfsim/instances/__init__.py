@@ -160,7 +160,12 @@ def load_config(source):
         if type(localized) is not bool:
             raise InstanceConfigError("wreath config key 'localized' must be true or false")
         gpoly = poly(data["g"], "g") if "g" in data else None
-        inst = WreathInstance(p, d, g=gpoly, localized=localized)
+        inst = WreathInstance(p, d, g=gpoly if localized else None)
+        # after the constructor, whose rank check comes first
+        if localized and gpoly is None:
+            raise InstanceConfigError("localized instance requires a polynomial g")
+        if gpoly is not None and not localized:
+            raise InstanceConfigError("wreath config key 'g' needs \"localized\": true")
     if inst.degree > MAX_DEGREE:
         raise InstanceConfigError(
             f"degree {inst.degree} exceeds the enumeration bound {MAX_DEGREE}"

@@ -31,34 +31,21 @@ so.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from ..engine import ContractViolation, Instance, NotInH, states_within
 from ..matrix import PolyMat, apply_A, conj_by_A, rho
 from ..ring import DensePoly, NotDivisible, check_keys, is_prime
 from . import InstanceConfigError
 
 
-class AffineElem:
+class AffineElem(namedtuple("AffineElem", "v b")):
     """(vector, matrix) with the matrix in the affine Borel subgroup."""
 
-    __slots__ = ("v", "b", "_hash")
+    __slots__ = ()
 
-    def __init__(self, v, b: PolyMat):
-        self.v = tuple(v)
-        self.b = b
-        self._hash = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, AffineElem) and self.v == other.v and self.b == other.b
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.v, self.b))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"AffineElem(v={[e.render() for e in self.v]}, b={self.b.render()})"
+    def __new__(cls, v, b: PolyMat):
+        return tuple.__new__(cls, (tuple(v), b))
 
 
 class AffineInstance(Instance):

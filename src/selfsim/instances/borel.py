@@ -6,10 +6,11 @@ as its normalized representative M: the scalar multiple with every entry
 in F_p[x], no f_k dividing all entries, and M[0][0] monic.  Two
 representatives differ by a unit c * prod f_k^{w_k}; w_k > 0 would make
 f_k divide every entry and w_k < 0 needs it to, and monicity fixes c, so M
-is unique and elements compare by M.  The diagonal entries of M are unit
-monomials c_j * prod f_k^{e_jk}, whose exponent vectors are kept beside
-it.  A product is one triangular product over F_p[x], trial-divided by f_k
-only while every diagonal exponent of f_k is positive; the inverse is the
+is unique.  The diagonal entries of M are unit monomials
+c_j * prod f_k^{e_jk}, whose exponent vectors are kept beside it; M
+determines them, so elements compare as the pair (M, exponents).  A
+product is one triangular product over F_p[x], trial-divided by f_k only
+while every diagonal exponent of f_k is positive; the inverse is the
 adjugate det(M) * M^{-1} (`tri_inverse`), normalized the same way.
 
 With M = lambda * N * D, N unitriangular and D diagonal, N[i][j] =
@@ -60,6 +61,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import add, sub
+from typing import NamedTuple
 
 from ..engine import ContractViolation, Instance, NotInH, decompose, states_within
 from ..matrix import TriMat, sum_of_products, tri_inverse
@@ -74,26 +76,12 @@ from ..ring import (
 from . import MAX_WORD_LENGTH, InstanceConfigError
 
 
-class BorelElem:
+class BorelElem(NamedTuple):
     """The normalized representative `mat` of an element, and the exponent
     vectors of its diagonal entries; built by `BorelInstance` only."""
 
-    __slots__ = ("mat", "exps")
-
-    def __init__(self, mat: TriMat, exps: tuple):
-        self.mat = mat
-        self.exps = exps
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, BorelElem) and self.mat == other.mat
-
-    def __hash__(self) -> int:
-        return hash(self.mat)
-
-    def __repr__(self) -> str:
-        return f"BorelElem({self.mat.render()})"
+    mat: TriMat
+    exps: tuple
 
 
 def _span(p: int, const: tuple, basis: list) -> list:

@@ -39,6 +39,8 @@ a scalar multiple, a sum and its cancellation.  The generic
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from ..engine import ContractViolation, Instance, NotInH, Perm, WreathDecomp, decompose, states_within
 from ..ring import (
     DensePoly,
@@ -52,28 +54,13 @@ from ..ring import (
 from . import InstanceConfigError
 
 
-class LampElem:
+class LampElem(namedtuple("LampElem", "r q")):
     """u^r times a Z^n part, in canonical form."""
 
-    __slots__ = ("r", "q", "_hash")
+    __slots__ = ()
 
-    def __init__(self, r: SFraction, q):
-        self.r = r
-        self.q = vec(tuple(q))
-        self._hash = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, LampElem) and self.r == other.r and self.q == other.q
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.r, self.q))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"LampElem(u^({self.r.render()}), q={self.q})"
+    def __new__(cls, r: SFraction, q):
+        return tuple.__new__(cls, (r, vec(tuple(q))))
 
 
 class LampInstance(Instance):

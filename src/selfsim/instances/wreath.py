@@ -73,6 +73,7 @@ terms (not c x^j) and g(1) != 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add, neg
 
 from ..engine import ContractViolation, Instance, NotInH
@@ -86,35 +87,14 @@ from ..ring import (
 from . import InstanceConfigError
 
 
-class WreathElem:
+class WreathElem(namedtuple("WreathElem", "r q y")):
     """(r, q, y): r a fraction of `MultiLocalizedRing`, y empty in the
     base family."""
 
-    __slots__ = ("r", "q", "y", "_hash")
+    __slots__ = ()
 
-    def __init__(self, r, q, y=()):
-        self.r = r
-        self.q = vec(tuple(q))
-        self.y = vec(tuple(y))
-        self._hash = None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, WreathElem)
-            and self.r == other.r
-            and self.q == other.q
-            and self.y == other.y
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.r, self.q, self.y))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"WreathElem(a^({self.r.render()}), q={self.q}, y={self.y})"
+    def __new__(cls, r, q, y=()):
+        return tuple.__new__(cls, (r, vec(tuple(q)), vec(tuple(y))))
 
 
 def validate_localizer(p: int, g: DensePoly) -> list[str]:
@@ -130,27 +110,23 @@ def validate_localizer(p: int, g: DensePoly) -> list[str]:
 class WreathInstance(Instance):
     family = "wreath"
 
-    def __init__(self, p: int, d: int, g: DensePoly | None = None, localized: bool = False):
+    def __init__(self, p: int, d: int, g: DensePoly | None = None):
         if not is_prime(p):
             raise InstanceConfigError(f"{p} is not prime")
         if d < 1:
             raise InstanceConfigError("rank d must be >= 1")
-        if localized:
-            if g is None:
-                raise InstanceConfigError("localized instance requires a polynomial g")
+        if g is not None:
             problems = validate_localizer(p, g)
             if problems:
                 raise InstanceConfigError("; ".join(problems))
-        elif g is not None:
-            raise InstanceConfigError("wreath config key 'g' needs \"localized\": true")
         self.p = p
         self.d = d
-        self.localized = localized
+        self.localized = g is not None
         self.g = g
         # n = d denominator axes and y coordinates, or none in the base family
         self.mring = MultiLocalizedRing(p, d, g)
         # the letter digit k of y_1^k takes p values, or only 0 in the base family
-        self.nk = p if localized else 1
+        self.nk = p if self.localized else 1
         self._identity = WreathElem(self.mring.zero, (0,) * d, (0,) * self.mring.n)
         # a-part r -> its p*nk values of F, and one object per value of F
         self._f_values: dict = {}

@@ -55,17 +55,6 @@ def _image_codes(inst, g, level: int, code: int = 0):
         yield from _image_codes(inst, s, level - 1, code + b)
 
 
-def word_images(inst, g, level: int):
-    """Lazily yield the images under g of all words of the given length,
-    in the order of itertools.product(range(m), repeat=level)."""
-    m = inst.degree
-    for code in _image_codes(inst, g, level):
-        image = [0] * level
-        for t in range(level - 1, -1, -1):
-            code, image[t] = divmod(code, m)
-        yield tuple(image)
-
-
 def word_bijectivity_check(inst, g, level: int) -> bool:
     """Extensional bijectivity of the action on all m^L words of length L
     (prefix compatibility makes this cover the shorter levels).  Each

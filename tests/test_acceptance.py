@@ -148,7 +148,7 @@ def _shipped_instances():
         LampInstance(2, [DensePoly.x(2)]),
         LampInstance(2, [DensePoly.x(2), P(2, 1, 1, 1)]),
         WreathInstance(2, 2),
-        WreathInstance(2, 2, g=P(2, 1, 1, 1), localized=True),
+        WreathInstance(2, 2, g=P(2, 1, 1, 1)),
     ]
 
 
@@ -171,7 +171,7 @@ def test_criterion_7_wreath_families():
     with criterion(7, "wreath-families", 60.0):
         rng = random.Random(7)
         flat = WreathInstance(2, 2)
-        loc = WreathInstance(2, 2, g=P(2, 1, 1, 1), localized=True)
+        loc = WreathInstance(2, 2, g=P(2, 1, 1, 1))
         for inst in (flat, loc):
             for _ in range(200):
                 a = inst.random_h_element(rng)

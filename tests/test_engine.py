@@ -586,6 +586,30 @@ def test_decompositions_with_equal_images_share_one_perm(config):
     assert all(inst._perm_pool[images] is perm for images, perm in perms.items())
 
 
+SHIPPED = sorted(f.stem for f in CONFIGS.glob("*.json") if not f.stem.startswith("invalid"))
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_elements_are_tuples_of_their_fields(config):
+    # an element rebuilt from its fields is equal, hashes alike and hits
+    # the decomposition of the original; the exponent vectors of a product
+    # are the pooled ones, which an equal tuple built anew looks up
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(101)
+    for _ in range(4):
+        g, h = inst.random_element(rng), inst.random_element(rng)
+        gh = inst.multiply(g, h)
+        for x in (g, gh, *decompose(inst, g).states):
+            twin = type(x)(*x)
+            assert twin == x and hash(twin) == hash(x) and twin is not x
+            assert not hasattr(x, "__dict__")
+            dec, size = decompose(inst, x), len(inst._decomp_cache)
+            assert decompose(inst, twin) is dec and len(inst._decomp_cache) == size
+        if inst.family in ("lamplighter", "wreath"):
+            for v in (gh.q, getattr(gh, "y", ())):
+                assert vec(tuple(list(v))) is v
+
+
 def _pooled_vectors(elem) -> list:
     """The exponent vectors an element stores through `ring.vec`: q and y,
     and the denominator vector of a fraction r.  A Borel element has none

@@ -314,7 +314,6 @@ BOREL_CONFIGS = [
     ],
 )
 def test_letters_closed_form_matches_generic_oracle(config, count):
-    # states are compared by their normalized matrices
     inst = load_config(ROOT / f"{config}.json")
     rng = random.Random(count)
     elems = seeded_elements(inst, rng, count) + [inst.random_h_element(rng) for _ in range(count)]
@@ -325,7 +324,28 @@ def test_letters_closed_form_matches_generic_oracle(config, count):
         images, states = inst.letters(g)
         oracle_images, oracle_states = Instance.letters(inst, g)
         assert images == oracle_images
-        assert [s.mat for s in states] == [s.mat for s in oracle_states]
+        # states compare as (mat, exps): the closed form's exps, taken from
+        # g, equal those the oracle's products normalize to
+        assert states == oracle_states
+
+
+@pytest.mark.parametrize("config", ["configs/borel_m2_p2", "configs/borel_m2_p3", "configs/borel_m3_p2"])
+def test_exps_are_the_exponents_of_the_diagonal(config):
+    # elements compare as (mat, exps), so exps must be what mat determines:
+    # each diagonal entry is its leading coefficient times prod_k f_k^exps[i][k]
+    inst = load_config(ROOT / f"{config}.json")
+    rng = random.Random(97)
+    sample = []
+    for g in seeded_elements(inst, rng, 4):
+        h = inst.random_element(rng)
+        sample += [g, inst.multiply(g, h), inst.invert(g), inst.endo_f(inst.random_h_element(rng))]
+        sample += decompose(inst, g).states
+    for g in sample:
+        for i, row in enumerate(g.mat.rows):
+            expected = DensePoly.constant(inst.p, row[i].coeffs[-1])
+            for f, e in zip(inst.ring.polys, g.exps[i]):
+                expected = expected * f**e
+            assert row[i] == expected
 
 
 @pytest.mark.parametrize("config", BOREL_CONFIGS)

@@ -33,7 +33,7 @@ def base(p=2, d=2):
 
 
 def localized(p=2, d=2):
-    return WreathInstance(p, d, g=P(p, 1, 1, 1), localized=True)
+    return WreathInstance(p, d, g=P(p, 1, 1, 1))
 
 
 def mono(inst, exps, c=1):
@@ -46,14 +46,14 @@ def test_validate_localizer():
     assert validate_localizer(2, P(2, 1))  # constant
     assert validate_localizer(2, P(2, 1, 1))  # vanishes at 1 over F_2
     with pytest.raises(InstanceConfigError):
-        WreathInstance(2, 2, g=P(2, 1, 1), localized=True)
-    with pytest.raises(InstanceConfigError):
-        WreathInstance(2, 2, localized=True)
+        WreathInstance(2, 2, g=P(2, 1, 1))
+    with pytest.raises(InstanceConfigError, match="^localized instance requires a polynomial g$"):
+        load_config({"family": "wreath", "p": 2, "d": 2, "localized": True})
 
 
 def test_g_without_localized_is_rejected():
     with pytest.raises(InstanceConfigError, match="^wreath config key 'g' needs \"localized\": true$"):
-        WreathInstance(2, 2, g=P(2, 1, 1, 1))
+        load_config({"family": "wreath", "p": 2, "d": 2, "g": [1, 1, 1]})
     with pytest.raises(InstanceConfigError, match="needs"):
         load_config({"family": "wreath", "p": 2, "d": 2, "g": [1, 1, 1], "localized": False})
 
@@ -100,7 +100,7 @@ def test_transversals_validate():
 
 def test_coset_index_closed_form_matches_search():
     rng = random.Random(21)
-    for inst in (base(2, 2), base(3, 2), localized(2, 2), WreathInstance(3, 2, g=P(3, 2, 1, 1), localized=True)):
+    for inst in (base(2, 2), base(3, 2), localized(2, 2), WreathInstance(3, 2, g=P(3, 2, 1, 1))):
         for _ in range(60):
             g = inst.random_element(rng)
             assert inst.coset_index(g) == inst.coset_index_exhaustive(g)
@@ -219,7 +219,7 @@ CLOSED_FORM_CASES = [(p, d, loc) for p in (2, 3, 5) for d in (1, 2, 3) for loc i
 
 def make(p, d, loc):
     if loc:
-        return WreathInstance(p, d, g=P(p, *LOCALIZERS[p]), localized=True)
+        return WreathInstance(p, d, g=P(p, *LOCALIZERS[p]))
     return WreathInstance(p, d)
 
 
