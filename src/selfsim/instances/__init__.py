@@ -31,10 +31,6 @@ class InstanceConfigError(ValueError):
 # bounds the wreath rank d, the length of every element's exponent vectors.
 MAX_DEGREE = 4096
 
-# The largest degree of a basis polynomial or of the wreath g, checked
-# before any irreducibility test (Ben-Or's costs about deg^3 log p).
-MAX_POLY_DEGREE = 64
-
 # The largest affine dimension n: an affine literal's matrix determinant
 # is a Laplace expansion of n! terms.
 MAX_AFFINE_DIM = 8
@@ -79,7 +75,7 @@ def load_config(source):
     "m"|"n"|"d": int, "polys": [[coeffs]...], "g": [coeffs],
     "localized": bool}, with only the keys in CONFIG_KEYS for the family,
     and "g" only with "localized": true.  The degree, a polynomial's degree
-    and the affine n are bounded by MAX_DEGREE, MAX_POLY_DEGREE and
+    and the affine n are bounded by MAX_DEGREE, ring.MAX_POLY_DEGREE and
     MAX_AFFINE_DIM.
     """
     if isinstance(source, (str, Path)):
@@ -112,14 +108,9 @@ def load_config(source):
 
     def poly(raw, key):
         try:
-            f = DensePoly.from_json(p, raw)
-        except ValueError:
-            raise InstanceConfigError(f"coefficients in config key '{key}' must be a list of integers") from None
-        if f.degree > MAX_POLY_DEGREE:
-            raise InstanceConfigError(
-                f"a polynomial in config key '{key}' has degree {f.degree} > {MAX_POLY_DEGREE}"
-            )
-        return f
+            return DensePoly.from_json(p, raw)
+        except ValueError as exc:
+            raise InstanceConfigError(f"config key '{key}': {exc}") from None
 
     def polys(key="polys"):
         raw = data.get(key)

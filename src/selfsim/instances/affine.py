@@ -73,7 +73,7 @@ class AffineInstance(Instance):
             raise InstanceConfigError("matrix is not invertible over F_p[x]")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if not self.pivot.divides(b.rows[i][j]):
+                if b.rows[i][j].eval(1):
                     raise InstanceConfigError(
                         "entry above the diagonal is not divisible by x-1"
                     )
@@ -194,8 +194,8 @@ class AffineInstance(Instance):
             )
         return out
 
-    def random_h_element(self, rng, length: int = 5) -> AffineElem:
-        g = self.random_element(rng, length)
+    def random_h_element(self, rng) -> AffineElem:
+        g = self.random_element(rng)
         v = (g.v[0] * self.pivot,) + g.v[1:]
         return AffineElem(v, g.b)
 
@@ -229,7 +229,7 @@ class AffineInstance(Instance):
                 out.append(g)
         return out
 
-    def delta_closure_check(self, elems, k: int, cap: int = 4096) -> bool:
-        """All iterated states of the given degree-k elements stay degree-k."""
-        return all(states_within(self, g, cap, lambda e: self.in_delta(e, k)) for g in elems)
+    def delta_closure_check(self, elems, k: int) -> bool:
+        """All iterated states of the given degree-k elements stay degree-k (cap 4096)."""
+        return all(states_within(self, g, 4096, lambda e: self.in_delta(e, k)) for g in elems)
 

@@ -143,7 +143,7 @@ class BorelInstance(Instance):
                 fv = self.ring._pow(f, v)
                 rows = [[divmod(e, fv)[0] for e in row] for row in rows]
                 exps = tuple(e[:k] + (e[k] - v,) + e[k + 1 :] for e in exps)
-        lead = rows[0][0].coeffs[-1]
+        lead = rows[0][0].lead
         if lead != 1:
             c = pow(lead, self.p - 2, self.p)
             rows = [[e.mul_scalar(c) for e in row] for row in rows]
@@ -272,7 +272,7 @@ class BorelInstance(Instance):
         res = acc % modulus
         if res.is_zero:
             return res
-        lead = g.mat.rows[i][i].coeffs[-1]
+        lead = g.mat.rows[i][i].lead
         inv = self.ring._den_inverse(g.exps[i], delta).mul_scalar(pow(lead, self.p - 2, self.p))
         return res * inv % modulus
 
@@ -399,7 +399,7 @@ class BorelInstance(Instance):
         for i in range(self.m):
             row = [ring.zero] * self.m
             # diagonal units from their exponents
-            row[i] = ring.one.mul_unit(a[i][i].coeffs[-1], tuple(map(sub, g.exps[i], e0)))
+            row[i] = ring.one.mul_unit(a[i][i].lead, tuple(map(sub, g.exps[i], e0)))
             for j in range(i + 1, self.m):
                 e = a[i][j]
                 if e.is_zero or not any(e0):
@@ -425,8 +425,8 @@ class BorelInstance(Instance):
             "l_exponent": self.l_exponent,
         }
 
-    def random_h_element(self, rng, length: int = 5) -> BorelElem:
-        g = self.random_element(rng, length)
+    def random_h_element(self, rng) -> BorelElem:
+        g = self.random_element(rng)
         pivot_pow = self.ring.pivot_pow
         rows = [list(row) for row in g.mat.rows]
         for i, row in enumerate(rows):
@@ -474,13 +474,11 @@ class BorelInstance(Instance):
                     return False
         return True
 
-    def claim2_check(self, k: int, sdx: int, cap: int | None = None) -> bool:
+    def claim2_check(self, k: int, sdx: int) -> bool:
         """All iterated states of the diagonal generator at (k, s) close
-        inside the bounded-degree set above."""
-        cap = cap if cap is not None else self.delta_size(k, sdx)
-        return states_within(
-            self, self.diagonal_generator(k, sdx), cap, lambda e: self.in_delta(e, k, sdx)
-        )
+        inside the bounded-degree set above, the search capped at its size."""
+        g, cap = self.diagonal_generator(k, sdx), self.delta_size(k, sdx)
+        return states_within(self, g, cap, lambda e: self.in_delta(e, k, sdx))
 
     def u_states_trivial_check(self) -> bool:
         """The superdiagonal generators have only trivial states."""

@@ -47,7 +47,6 @@ from ..ring import (
     LocalizedRing,
     SFraction,
     divide_exact,
-    eval_at_one,
     validate_config,
     vec,
 )
@@ -99,7 +98,7 @@ class LampInstance(Instance):
         return LampElem(r, tuple(-e for e in a.q))
 
     def h_member(self, g: LampElem) -> bool:
-        return eval_at_one(g.r) == 0
+        return g.r.eval_at_one() == 0
 
     def endo_f(self, g: LampElem) -> LampElem:
         if not self.h_member(g):
@@ -107,7 +106,7 @@ class LampInstance(Instance):
         return LampElem(divide_exact(g.r, 1), g.q)
 
     def coset_index(self, g: LampElem) -> int:
-        return self._index(eval_at_one(g.r))
+        return self._index(g.r.eval_at_one())
 
     def _index(self, c: int) -> int:
         """The coset u^j holding an element whose exponent takes the value
@@ -117,7 +116,7 @@ class LampInstance(Instance):
     def letters(self, g: LampElem) -> tuple:
         """The closed form (B + j W, q) of the module docstring."""
         p, ring = self.p, self.ring
-        c = eval_at_one(g.r)
+        c = g.r.eval_at_one()
         base = divide_exact(g.r - ring.constant(c), 1)
         # B and W over one denominator, so that B + j W scales nothing
         num_b, num_w, den, axes = base._join(*self._w(g.q))
@@ -168,14 +167,14 @@ class LampInstance(Instance):
             "degree": self.degree,
         }
 
-    def random_element(self, rng, max_deg: int = 3, span: int = 2) -> LampElem:
-        num = DensePoly(self.p, [rng.randrange(self.p) for _ in range(max_deg + 1)])
+    def random_element(self, rng) -> LampElem:
+        num = DensePoly(self.p, [rng.randrange(self.p) for _ in range(4)])  # degree <= 3
         den = tuple(rng.randrange(2) for _ in range(self.n))
-        q = tuple(rng.randrange(-span, span + 1) for _ in range(self.n))
+        q = tuple(rng.randrange(-2, 3) for _ in range(self.n))
         return LampElem(self.ring.fraction(num, den), q)
 
-    def random_h_element(self, rng, max_deg: int = 3) -> LampElem:
-        g = self.random_element(rng, max_deg)
+    def random_h_element(self, rng) -> LampElem:
+        g = self.random_element(rng)
         r = g.r * self.ring.from_poly(self.ring.pivot)
         return LampElem(r, g.q)
 
@@ -213,8 +212,7 @@ class LampInstance(Instance):
             return WreathDecomp(Perm.identity(p), states)
         if g.q[j] == -1 and g.r.is_poly:
             lam = g.r.num
-            lt, rem = divmod(lam, ring.pivot)
-            lam1 = rem.coeffs[0] if rem.coeffs else 0
+            lt, lam1 = divmod(lam, ring.pivot)[0], lam.eval(1)
             w = divide_exact(ring.from_poly(f_j - DensePoly.one(p)), 1)
             states = []
             for i in range(p):
@@ -244,8 +242,7 @@ class LampInstance(Instance):
                 return False
         for lam in lambdas:
             lhs = decompose(self, self.u_power(lam))
-            lt, rem = divmod(lam, ring.pivot)
-            lam1 = rem.coeffs[0] if rem.coeffs else 0
+            lt, lam1 = divmod(lam, ring.pivot)[0], lam.eval(1)
             perm = Perm(tuple((i + lam1) % p for i in range(p)))
             expected = WreathDecomp(perm, (self.u_power(lt),) * p)
             if lhs.perm != expected.perm or lhs.states != expected.states:
@@ -273,10 +270,9 @@ class LampInstance(Instance):
             out.append(LampElem(self.ring.from_coeffs(coeffs), q))
         return out
 
-    def yj_closure_check(self, j: int, cap: int | None = None) -> bool:
-        """Breadth-first closure from every element of Y_j stays in Y_j."""
+    def yj_closure_check(self, j: int) -> bool:
+        """Breadth-first closure from every element of Y_j stays in Y_j (cap |Y_j|)."""
         members = self.y_set(j)
-        cap = cap if cap is not None else len(members)
         return all(
-            states_within(self, g, cap, lambda e: self.y_set_member(e, j)) for g in members
+            states_within(self, g, len(members), lambda e: self.y_set_member(e, j)) for g in members
         )

@@ -100,7 +100,7 @@ class WreathElem(namedtuple("WreathElem", "r q y")):
 def validate_localizer(p: int, g: DensePoly) -> list[str]:
     """Admissibility problems for the localizing polynomial, if any."""
     problems = []
-    if g.is_zero or sum(1 for c in g.coeffs if c) < 2:
+    if sum(1 for c in g.to_json() if c) < 2:
         problems.append("localizing polynomial must have at least two terms")
     if not g.is_zero and g.eval(1) == 0:
         problems.append("localizing polynomial must not vanish at 1")
@@ -166,10 +166,10 @@ class WreathInstance(Instance):
 
     def h_member(self, g: WreathElem) -> bool:
         # sum(y[:1]) is y_1, or 0 when y is empty
-        return not (g.r.eval_at_ones() or g.q[0] % self.p or sum(g.y[:1]) % self.p)
+        return not (g.r.eval_at_one() or g.q[0] % self.p or sum(g.y[:1]) % self.p)
 
     def coset_index(self, g: WreathElem) -> int:
-        return self._index(g.r.eval_at_ones(), g.q[0], sum(g.y[:1]), sum(g.y))
+        return self._index(g.r.eval_at_one(), g.q[0], sum(g.y[:1]), sum(g.y))
 
     def _index(self, eps: int, q1: int, y1: int, y_sum: int) -> int:
         """Closed-form coset index of an element with augmentation eps,
@@ -190,7 +190,7 @@ class WreathInstance(Instance):
         p, nk, n, g1 = self.p, self.nk, self.mring.n, self.mring.g_at_one
         q1, y1 = g.q[0], sum(g.y[:1])  # y_1 reads 0 when y is empty
         y_sum = sum(g.y)
-        eps = g.r.eval_at_ones()
+        eps = g.r.eval_at_one()
         g1_inv = pow(g1, p - 2, p)
         parts = self._parts(g.r)
         # per k: the augmentation of g(x_1)^{-k} r, the y-exponent sum ys
@@ -345,25 +345,25 @@ class WreathInstance(Instance):
 
     # -- random sampling ----------------------------------------------------------
 
-    def _random_laurent(self, rng, span=2, terms=3) -> MultiLaurent:
+    def _random_laurent(self, rng) -> MultiLaurent:
         data = {}
-        for _ in range(rng.randrange(terms + 1)):
-            e = tuple(rng.randrange(-span, span + 1) for _ in range(self.d))
+        for _ in range(rng.randrange(4)):  # at most 3 terms
+            e = tuple(rng.randrange(-2, 3) for _ in range(self.d))
             data[e] = rng.randrange(1, self.p) if self.p > 2 else 1
         return MultiLaurent(self.p, self.d, data)
 
-    def random_element(self, rng, span=2) -> WreathElem:
-        """Draws q, one denominator exponent per axis, the Laurent
-        numerator, then y: the base family draws only q and the numerator."""
+    def random_element(self, rng) -> WreathElem:
+        """Draws q, one denominator exponent per axis, the Laurent numerator,
+        then y, exponents in [-2, 2]; the base family draws only q and the numerator."""
         n = self.mring.n
-        q = tuple(rng.randrange(-span, span + 1) for _ in range(self.d))
+        q = tuple(rng.randrange(-2, 3) for _ in range(self.d))
         den = tuple(rng.randrange(2) for _ in range(n))
-        r = self.mring.fraction(self._random_laurent(rng, span), den)
-        y = tuple(rng.randrange(-span, span + 1) for _ in range(n))
+        r = self.mring.fraction(self._random_laurent(rng), den)
+        y = tuple(rng.randrange(-2, 3) for _ in range(n))
         return WreathElem(r, q, y)
 
-    def random_h_element(self, rng, span=2) -> WreathElem:
-        g = self.random_element(rng, span)
+    def random_h_element(self, rng) -> WreathElem:
+        g = self.random_element(rng)
         # force augmentation zero and subgroup-compatible exponents
         p, num = self.p, g.r.num
         aug = num.aug()

@@ -122,16 +122,16 @@ def tri_inverse(t: TriMat) -> TriMat:
     a division that is exact because b is the adjugate, and that is
     skipped where t[i][i] is one.  For unitriangular t, b is the inverse."""
     n, p, a = t.size, t.p, t.rows
-    zero = DensePoly.zero(p)
+    zero, one = DensePoly.zero(p), DensePoly.one(p)
     diag = [a[i][i] for i in range(n)]
     b = [[zero] * n for _ in range(n)]
     for i in range(n):
-        b[i][i] = functools.reduce(mul, diag[:i] + diag[i + 1 :], DensePoly.one(p))
+        b[i][i] = functools.reduce(mul, diag[:i] + diag[i + 1 :], one)
     for i in range(n - 1, -1, -1):
         d = diag[i]
         for j in range(i + 1, n):
             acc = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
-            if d.coeffs != (1,):
+            if d != one:
                 acc = divmod(acc, d)[0]
             b[i][j] = -acc
     return TriMat._raw(p, b)
@@ -164,7 +164,7 @@ class PolyMat(_SquareMat):
         d = self.det()
         if d.degree != 0:
             raise NotInvertible("determinant is not a nonzero constant")
-        dinv = pow(d.coeffs[0], self.p - 2, self.p)
+        dinv = pow(d.lead, self.p - 2, self.p)
         n = self.size
         if n == 1:
             return PolyMat._raw(self.p, [[DensePoly.constant(self.p, dinv)]])

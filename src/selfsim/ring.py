@@ -27,12 +27,20 @@ exponents (where they differ, b_i divides exactly one scaled numerator);
 in a product by prod b_i^{w_i}, those raised from 0; in a sum a + b * unit
 (`MultiSFraction.add_mul`), the union of both rules; in a product of two
 fractions, all (g need not be irreducible).  `canonicalize`, the validated
-public entry, trial-divides every axis and is the tests' oracle.
+public entry, trial-divides every axis and is the tests' oracle.  One
+evaluation at 1 (`eval_at_one`) serves both: each ring keeps its basis
+values at 1 and supplies only the value of a numerator (`_num_at_one`).
 
-Polynomials are dense tuples of integer residues in ascending degree with
-no trailing zeros; the zero polynomial is the empty tuple and its degree
-is the sentinel -inf.  Multivariate Laurent polynomials are sparse maps
-from integer exponent vectors to nonzero residues.
+How `DensePoly` stores its coefficients is this module's decision alone.
+Other modules use only the constructors (`DensePoly(p, coeffs)`, `zero`,
+`one`, `x`, `constant`, `from_json`), `to_json()` (ascending degree, no
+trailing zeros), the arithmetic (`mul_scalar`, `divmod` and `**` among
+it), `degree`, `lead`, `eval`, `is_zero`, `render`, equality and hashing;
+a second representation (a packed F_2[x], say) must meet this contract.
+Today a polynomial is a dense tuple of residues in ascending degree with
+no trailing zeros; the zero polynomial is the empty tuple, of degree -inf.
+Multivariate Laurent polynomials are sparse maps from integer exponent
+vectors to nonzero residues.
 
 Trusted construction: the public `DensePoly(p, coeffs)` and
 `MultiLaurent(p, d, terms)` reduce and validate whatever they are given;
@@ -58,6 +66,10 @@ from dataclasses import dataclass, field
 from operator import add
 
 NEG_INF = float("-inf")
+
+# The largest degree of a polynomial read from JSON (config or literal),
+# checked before any irreducibility test (about deg^3 log p) or product.
+MAX_POLY_DEGREE = 64
 
 
 _VECS: dict = {}
@@ -129,10 +141,13 @@ class DensePoly:
 
     @staticmethod
     def from_json(p: int, data) -> "DensePoly":
-        """A polynomial from a list of JSON integers (booleans rejected)."""
+        """A polynomial of degree <= MAX_POLY_DEGREE from JSON integers (no booleans)."""
         if not isinstance(data, list) or any(type(c) is not int for c in data):
             raise ValueError("coefficients must be a list of integers")
-        return DensePoly(p, data)
+        f = DensePoly(p, data)
+        if f.degree > MAX_POLY_DEGREE:
+            raise ValueError(f"a polynomial has degree {f.degree} > {MAX_POLY_DEGREE}")
+        return f
 
     @staticmethod
     def zero(p: int) -> "DensePoly":
@@ -156,12 +171,17 @@ class DensePoly:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     @property
+    def lead(self) -> int:
+        """The leading coefficient; 0 for the zero polynomial."""
+        return self.coeffs[-1] if self.coeffs else 0
+
+    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.lead == 1
 
     def _check(self, other: "DensePoly") -> None:
         if self.p != other.p:
@@ -234,12 +254,6 @@ class DensePoly:
     def __mod__(self, other: "DensePoly") -> "DensePoly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "DensePoly") -> bool:
-        """True when self divides other exactly."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def __pow__(self, k: int, modulus: "DensePoly | None" = None) -> "DensePoly":
         """self^k by square-and-multiply, reduced mod modulus when given."""
         if k < 0:
@@ -286,8 +300,8 @@ class DensePoly:
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if not r0.is_zero and r0.coeffs[-1] != 1:
-            c = pow(r0.coeffs[-1], p - 2, p)
+        if not r0.is_zero and r0.lead != 1:
+            c = pow(r0.lead, p - 2, p)
             r0, s0, t0 = r0.mul_scalar(c), s0.mul_scalar(c), t0.mul_scalar(c)
         return r0, s0, t0
 
@@ -392,6 +406,19 @@ class _LocalFraction:
         den = [a + b for a, b in zip(self.den, other.den)]
         return self.ring._cancel(self.num * other.num, den, range(len(den)))
 
+    def eval_at_one(self) -> int:
+        """The ring homomorphism onto F_p sending every variable to 1, as a
+        residue in [0, p); zero exactly on the multiples of x - 1 (on the
+        augmentation kernel in the Laurent ring)."""
+        ring = self.ring
+        acc = ring._num_at_one(self.num)
+        for v, e in zip(ring.basis_at_one, self.den):
+            if e:
+                if not v:
+                    raise DenominatorVanishes("denominator basis polynomial vanishes at 1")
+                acc = acc * pow(v, -e, ring.p) % ring.p
+        return acc
+
     def _mul_basis(self, num, exps):
         """num / den * prod b_i^{w_i}, where num is self.num times a unit of
         R (a nonzero scalar, or a monomial in the Laurent ring).  Only an
@@ -428,9 +455,10 @@ class _LocalFraction:
 
 class _Localization:
     """S^{-1}R for S generated by a basis b_0, ..., b_{n-1} of pairwise
-    coprime elements of R.  A subclass supplies the fraction type and how to
-    multiply a numerator by b_i^k (`_scale`) or divide it by b_i exactly
-    (`_divide`, None when b_i does not divide)."""
+    coprime elements of R.  A subclass supplies the fraction type, the
+    values b_i(1) (`basis_at_one`), and how to multiply a numerator by b_i^k
+    (`_scale`), divide it by b_i exactly (`_divide`, None when b_i does not
+    divide) or evaluate it at 1 (`_num_at_one`)."""
 
     fraction_type: type
 
@@ -544,6 +572,7 @@ class LocalizedRing(_Localization):
         self.polys = tuple(polys)
         super().__init__(p, len(self.polys))
         self.pivot = DensePoly(p, (-1, 1))
+        self.basis_at_one = tuple(f.eval(1) for f in self.polys)
         self.zero = self.from_poly(DensePoly.zero(p))
         self.one = self.from_poly(DensePoly.one(p))
         self._den_inverses: dict = {}
@@ -571,6 +600,9 @@ class LocalizedRing(_Localization):
         q, r = divmod(num, self.polys[i])
         return q if r.is_zero else None
 
+    def _num_at_one(self, num: DensePoly) -> int:
+        return num.eval(1)
+
     def from_poly(self, num: DensePoly) -> SFraction:
         return SFraction(self, num, (0,) * self.n, _canonical=True)
 
@@ -595,20 +627,6 @@ def divide_exact(a: SFraction, k: int) -> SFraction:
     if not r.is_zero:
         raise NotDivisible("numerator is not divisible by the requested power")
     return SFraction(a.ring, q, a.den, _canonical=True)
-
-
-def eval_at_one(a: SFraction) -> int:
-    """Ring homomorphism onto F_p sending x to 1, as a residue in [0, p);
-    zero exactly on (x-1)-multiples."""
-    p = a.ring.p
-    acc = a.num.eval(1)
-    for f, e in zip(a.ring.polys, a.den):
-        if e:
-            v = f.eval(1)
-            if v == 0:
-                raise DenominatorVanishes("denominator basis polynomial vanishes at 1")
-            acc = acc * pow(pow(v, p - 2, p), e, p) % p
-    return acc
 
 
 @dataclass
@@ -926,17 +944,6 @@ class MultiSFraction(_LocalFraction):
         n1, n2, den, axes = self._join(other.num.mul_monomial(exps), other.den, gexps)
         return self.ring._cancel(n1 + n2, den, axes)
 
-    def eval_at_ones(self) -> int:
-        """Evaluation at all-ones; zero exactly on the augmentation kernel."""
-        p = self.ring.p
-        if self.ring.g_at_one == 0:
-            raise DenominatorVanishes("localizing polynomial vanishes at 1")
-        acc = self.num.aug()
-        inv = pow(self.ring.g_at_one, p - 2, p)
-        for z in self.den:
-            acc = acc * pow(inv, z, p) % p
-        return acc
-
     def render(self) -> str:
         num = self.num.render()
         if not any(self.den):
@@ -966,6 +973,7 @@ class MultiLocalizedRing(_Localization):
         self.d = d
         self.g = g
         self.g_at_one = 1 if g is None else g.eval(1)
+        self.basis_at_one = (self.g_at_one,) * self.n
         self.zero = self.from_laurent(MultiLaurent.zero(p, d))
         self.one = self.from_laurent(MultiLaurent.one(p, d))
 
@@ -977,6 +985,9 @@ class MultiLocalizedRing(_Localization):
 
     def _divide(self, num: MultiLaurent, i: int):
         return num.divexact_univariate(self.g, i)
+
+    def _num_at_one(self, num: MultiLaurent) -> int:
+        return num.aug()
 
     def from_laurent(self, num: MultiLaurent) -> MultiSFraction:
         return MultiSFraction(self, num, (0,) * self.n, _canonical=True)

@@ -116,7 +116,7 @@ def test_criterion_4_triangular_combinatorics():
             inst = BorelInstance(2, m, [DensePoly.x(2), f2])
             for k in range(1, m + 1):
                 for s in range(inst.n):
-                    assert inst.claim2_check(k, s, cap=inst.delta_size(k, s))
+                    assert inst.claim2_check(k, s)
 
 
 def test_criterion_5_affine_closure():

@@ -19,6 +19,7 @@ from selfsim.cli import (
     parse_expr,
 )
 from selfsim.instances import load_config
+from selfsim.ring import MAX_POLY_DEGREE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -309,6 +310,36 @@ def test_decompose_literal_non_integer_one_line_error(capsys, config, literal):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+A_LONG = "[" + ",".join(["1"] * 20000) + "]"
+
+
+@pytest.mark.parametrize(
+    "config, literal",
+    [
+        ("affine_n3_p2.json", '{"b": [[%s,[],[]],[[],%s,[]],[[],[],[1]]]}' % (A_LONG, A_LONG)),
+        ("affine_n3_p2.json", '{"v": [[], [], %s]}' % ("[" + "0," * 65 + "1]")),
+        ("borel_m2_p2.json", '{"n": [[[], %s], [[], []]]}' % A_LONG),
+        ("borel_m2_p2.json", '{"n": [[[], {"num": %s, "den": [20000, 0]}], [[], []]]}' % (
+            "[" + "0," * 20000 + "1]")),
+    ],
+    ids=["affine-matrix", "affine-vector", "borel-cell", "borel-fraction"],
+)
+def test_decompose_literal_past_degree_bound_one_line_error(capsys, config, literal):
+    # each polynomial is checked against MAX_POLY_DEGREE as it is read, so
+    # neither a determinant nor a cancellation sees it
+    code, out, err = run(capsys, "decompose", str(CONFIGS / config), literal)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "bad literal: a polynomial has degree" in err and f"> {MAX_POLY_DEGREE}" in err
+
+
+def test_decompose_literal_at_degree_bound(capsys):
+    literal = '{"v": [[], [], %s]}' % ("[" + "0," * 64 + "1]")
+    code, out, _ = run(capsys, "decompose", str(CONFIGS / "affine_n3_p2.json"), literal)
+    assert code == EXIT_OK and out
 
 
 def test_decompose_u_p3(capsys):

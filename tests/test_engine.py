@@ -442,7 +442,7 @@ def test_coset_index_matches_exhaustive_search(config):
     # t * g whose cosets a decomposition reads
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(23)
-    sample = [inst.random_element(rng, 6) for _ in range(10)]
+    sample = [inst.random_element(rng) for _ in range(10)]
     sample += [inst.multiply(t, g) for t in inst.transversal[:4] for g in sample[:3]]
     for g in sample:
         assert inst.coset_index(g) == inst.coset_index_exhaustive(g)
@@ -455,7 +455,7 @@ def test_equal_elements_have_equal_hashes(config):
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(29)
     for _ in range(10):
-        g, h = inst.random_element(rng, 5), inst.random_element(rng, 5)
+        g, h = inst.random_element(rng), inst.random_element(rng)
         again = inst.multiply(inst.multiply(g, h), inst.invert(h))
         other = inst.multiply(inst.invert(h), inst.multiply(h, g))
         assert again == g == other
@@ -538,7 +538,7 @@ def test_decompose_makes_no_products(config):
     # instance: Borel reads the inverse letters off the identity's walk
     inst = _counting_products(load_config(CONFIGS / f"{config}.json"))
     rng = random.Random(43)
-    sample = [inst.random_element(rng, 6) for _ in range(4)] + [inst.random_h_element(rng)]
+    sample = [inst.random_element(rng) for _ in range(4)] + [inst.random_h_element(rng)]
     inst.products = inst.inversions = 0
     for g in sample:
         decompose(inst, g)
@@ -556,8 +556,8 @@ def test_decompose_interns_equal_elements(config):
     # interned states only
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(53)
-    sample = [inst.random_element(rng, 4) for _ in range(4)]
-    k = inst.random_element(rng, 3)
+    sample = [inst.random_element(rng) for _ in range(4)]
+    k = inst.random_element(rng)
     copies = [inst.multiply(inst.multiply(g, k), inst.invert(k)) for g in sample]
     seen = {}
     for g in sample + copies:

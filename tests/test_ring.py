@@ -18,7 +18,6 @@ from selfsim.ring import (
     NotInvertible,
     canonicalize,
     divide_exact,
-    eval_at_one,
     is_prime,
     validate_config,
 )
@@ -159,11 +158,11 @@ def test_divide_exact_round_trip_random():
 
 def test_eval_at_one_examples():
     ring = ring_f2()
-    assert eval_at_one(ring.from_poly(ring.pivot)) == 0
+    assert ring.from_poly(ring.pivot).eval_at_one() == 0
     # x / f_1 with f_1(1) = 1
-    assert eval_at_one(ring.fraction(DensePoly.x(2), (0, 1))) == 1
+    assert ring.fraction(DensePoly.x(2), (0, 1)).eval_at_one() == 1
     # (x^2+x+1)/x over F_2 -> 1/1 = 1
-    assert eval_at_one(ring.fraction(P(2, 1, 1, 1), (1, 0))) == 1
+    assert ring.fraction(P(2, 1, 1, 1), (1, 0)).eval_at_one() == 1
 
 
 def test_eval_at_one_denominator_vanishing():
@@ -172,17 +171,34 @@ def test_eval_at_one_denominator_vanishing():
     ring = LocalizedRing(2, [DensePoly.x(2), P(2, 1, 1)])
     a = ring.fraction(DensePoly.one(2), (0, 1))
     with pytest.raises(DenominatorVanishes):
-        eval_at_one(a)
+        a.eval_at_one()
+    # a vanishing basis value is harmless while its exponent is zero
+    assert ring.fraction(DensePoly.one(2), (1, 0)).eval_at_one() == 1
+    # the same for g(x_i) = x_i + 1 over F_2 in the Laurent ring
+    mring = MultiLocalizedRing(2, 2, P(2, 1, 1))
+    with pytest.raises(DenominatorVanishes):
+        mring.fraction(MultiLaurent.one(2, 2), (0, 1)).eval_at_one()
+    assert mring.fraction(MultiLaurent.monomial(2, 2, (1, -1)), (0, 0)).eval_at_one() == 1
 
 
 def test_eval_at_one_is_ring_homomorphism():
     rng = random.Random(13)
-    for ring in (ring_f2(), ring_f3()):
+
+    def laurent_fraction(r, mring):
+        den = [r.randrange(3) for _ in range(mring.n)]
+        return mring.fraction(random_laurent(r, mring.p, mring.d), den)
+
+    # the Laurent ring with g given (reducible over F_5), and with g = None
+    cases = [(ring, random_fraction) for ring in (ring_f2(), ring_f3())] + [
+        (mring, laurent_fraction)
+        for mring in (MultiLocalizedRing(5, 2, P(5, 2, 3, 1)), MultiLocalizedRing(3, 2, None))
+    ]
+    for ring, sample in cases:
         for _ in range(200):
-            a = random_fraction(rng, ring)
-            b = random_fraction(rng, ring)
-            assert eval_at_one(a * b) == eval_at_one(a) * eval_at_one(b) % ring.p
-            assert eval_at_one(a + b) == (eval_at_one(a) + eval_at_one(b)) % ring.p
+            a, b = sample(rng, ring), sample(rng, ring)
+            assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one() % ring.p
+            assert (a + b).eval_at_one() == (a.eval_at_one() + b.eval_at_one()) % ring.p
+        assert ring.one.eval_at_one() == 1
 
 
 # -- canonicalize ------------------------------------------------------------
@@ -426,9 +442,9 @@ def test_multisfraction_eval_at_ones():
     mring = MultiLocalizedRing(2, 2, P(2, 1, 1, 1))
     a = mring.fraction(MultiLaurent(2, 2, {(1, 0): 1, (0, 0): 1}), (1, 0))
     # aug(num) = 0
-    assert a.eval_at_ones() == 0
+    assert a.eval_at_one() == 0
     b = mring.fraction(MultiLaurent.one(2, 2), (2, 1))
-    assert b.eval_at_ones() == 1
+    assert b.eval_at_one() == 1
 
 
 # -- units --------------------------------------------------------------------

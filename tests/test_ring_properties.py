@@ -222,6 +222,13 @@ def reduced_and_trimmed(r):
     return type(c) is tuple and all(0 <= x < r.p for x in c) and (not c or c[-1] != 0)
 
 
+@given(st.sampled_from(PRIMES), st.lists(st.integers(-20, 20), max_size=6))
+def test_lead_is_the_last_coefficient(p, coeffs):
+    f = DensePoly(p, coeffs)
+    assert f.lead == (f.to_json()[-1] if f.to_json() else 0)
+    assert (f.lead == 0) == f.is_zero
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(PRIMES), st.data())
 def test_dense_poly_results_are_reduced_and_trimmed(p, data):
@@ -365,7 +372,7 @@ def test_nothing_inverted_ring_is_laurent_arithmetic(p, d, data):
     for r, want in pairs:
         assert r.num == want and r.den == ()
         assert canonical(r)
-        assert r.eval_at_ones() == want.aug()
+        assert r.eval_at_one() == want.aug()
         assert r.render() == want.render()
 
 
