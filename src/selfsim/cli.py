@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ EXIT_PARSE = 3
 # The most leaves (degree^depth) a portrait may have; the portrait is built
 # whole in memory and printed indented.
 MAX_PORTRAIT_LEAVES = 2**16
+
+
+# An exponent is ASCII digits with an optional sign; int() alone would also
+# take underscores, surrounding blanks and non-ASCII digits.
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 class ExprError(ValueError):
@@ -77,16 +83,15 @@ def parse_expr(text: str) -> ElementExpr:
             raise ExprError(f"bad JSON literal: {exc}") from exc
     terms = []
     for token in text.replace("*", " ").split():
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
         if not name.isidentifier():
             raise ExprError(f"bad generator name: {name!r}")
-        if exp:
-            try:
-                k = int(exp)
-            except ValueError as exc:
-                raise ExprError(f"bad exponent in {token!r}") from exc
-        else:
+        if not caret:
             k = 1
+        elif _EXPONENT.fullmatch(exp):
+            k = int(exp)
+        else:
+            raise ExprError(f"bad exponent in {token!r}")
         if k != 0:
             terms.append((name, k))
     length = sum(abs(k) for _, k in terms)
@@ -147,6 +152,27 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def cycles(images) -> str:
+    """Cycle notation of the permutation i -> images[i]: each cycle of
+    length > 1 from its least point, in order of that point; "()" for
+    the identity."""
+    seen = [False] * len(images)
+    parts = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = images[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = images[j]
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) if parts else "()"
+
+
 def cmd_decompose(args) -> int:
     inst = _load(args.config)
     if args.depth < 0:
@@ -166,8 +192,8 @@ def cmd_decompose(args) -> int:
     _emit(
         {
             "expr": expr.render(),
-            "perm": list(dec.perm.images),
-            "cycles": dec.perm.cycles(),
+            "perm": list(dec.perm),
+            "cycles": cycles(dec.perm),
             "states": [inst.render(s) for s in dec.states],
         }
     )

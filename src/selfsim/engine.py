@@ -35,18 +35,20 @@ only, `_prule_cache` and `_product_cache` pairs of elements only, and
 
 Decompositions are pure and memoized per instance, in five dicts that
 live as long as the instance.  `_decomp_cache` maps g to its
-decomposition.  `_perm_pool` maps an image tuple to the one `Perm` that
-every decomposition with those level images shares; a tuple is checked
-to be a bijection on first sight, and one that is not is never pooled,
-so it raises each time.  `_intern_pool` keeps one shared object per
-element value: a decomposition passes g and each of its states through
-it, so equal states are the same object and a later lookup hits on
-identity before any field is compared.  `_prule_cache` maps a verified
-pair (a, b) to the depth it was verified to.  `_product_cache` maps an
-operand pair (a_i, b_j) of `product_rule_check` to the interned state its
-product was verified against, so a known product is not recomputed; the
-comparison at each node still runs.  Breadth-first searches visit
-canonical elements in discovery order, so all outputs are deterministic.
+decomposition.  A level permutation sigma is its image tuple
+(sigma(0), ..., sigma(m-1)), and `_perm_pool` maps an image tuple to the
+one pooled tuple that every decomposition with those level images holds
+as its `perm`; a tuple is checked to be a bijection on first sight, and
+one that is not is never pooled, so it raises each time.  `_intern_pool`
+keeps one shared object per element value: a decomposition passes g and
+each of its states through it, so equal states are the same object and a
+later lookup hits on identity before any field is compared.
+`_prule_cache` maps a verified pair (a, b) to the depth it was verified
+to.  `_product_cache` maps an operand pair (a_i, b_j) of
+`product_rule_check` to the interned state its product was verified
+against, so a known product is not recomputed; the comparison at each
+node still runs.  Breadth-first searches visit canonical elements in
+discovery order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -65,65 +67,12 @@ class NotInH(ValueError):
     """The endomorphism was applied outside its domain subgroup."""
 
 
-class Perm:
-    """A permutation of {0, ..., m-1} stored as its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(images)
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection: {self.images}")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def inverse(self) -> "Perm":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Perm(out)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    @staticmethod
-    def identity(m: int) -> "Perm":
-        return Perm(range(m))
-
-    def cycles(self) -> str:
-        seen = [False] * len(self.images)
-        parts = []
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) if parts else "()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Perm{self.images}"
-
-
 @dataclass(frozen=True, slots=True)
 class WreathDecomp:
-    """A level permutation together with the m subtree states."""
+    """A level permutation, the pooled image tuple (sigma(0), ...,
+    sigma(m-1)), together with the m subtree states."""
 
-    perm: Perm
+    perm: tuple
     states: tuple
 
 
@@ -308,11 +257,9 @@ def decompose(inst: Instance, g) -> WreathDecomp:
     perms = inst._perm_pool
     perm = perms.get(images)
     if perm is None:
-        try:
-            perm = Perm(images)
-        except ValueError as exc:
-            raise ContractViolation(str(exc)) from exc
-        perms[images] = perm
+        if sorted(images) != list(range(len(images))):
+            raise ContractViolation(f"not a bijection: {images}")
+        perm = perms[images] = images
     intern = inst._intern_pool.setdefault
     dec = WreathDecomp(perm, tuple([intern(s, s) for s in states]))
     cache[intern(g, g)] = dec
@@ -325,7 +272,7 @@ def act_on_word(inst: Instance, g, word) -> tuple:
     cur = g
     for letter in word:
         dec = decompose(inst, cur)
-        out.append(dec.perm(letter))
+        out.append(dec.perm[letter])
         cur = dec.states[letter]
     return tuple(out)
 
@@ -336,7 +283,7 @@ def portrait(inst: Instance, g, depth: int):
     if depth < 1:
         raise ValueError("portrait depth must be >= 1")
     dec = decompose(inst, g)
-    node = [list(dec.perm.images)]
+    node = [list(dec.perm)]
     if depth > 1:
         node.append([portrait(inst, s, depth - 1) for s in dec.states])
     return node
@@ -361,9 +308,9 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
         da = decompose(inst, a)
         db = decompose(inst, b)
         dab = decompose(inst, ab)
-        a_images, b_images = da.perm.images, db.perm.images
+        a_images, b_images = da.perm, db.perm
         # sigma_ab must be sigma_a then sigma_b
-        if dab.perm.images != tuple([b_images[i] for i in a_images]):
+        if dab.perm != tuple([b_images[i] for i in a_images]):
             return False
         triples = []
         for i in range(m):
@@ -410,6 +357,13 @@ class MealyAutomaton:
         self.outputs = tuple(tuple(row) for row in outputs)
         self.elements = elements
         n = len(self.state_labels)
+        for key, value in (("degree", degree), ("initial", initial)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"automaton {key} must be an integer")
+        if degree < 1:
+            raise ValueError("automaton degree must be >= 1")
+        if not 0 <= initial < n:
+            raise ValueError(f"initial state {initial} is not one of the {n} states")
         if not (len(self.transitions) == len(self.outputs) == n):
             raise ValueError("ragged automaton tables")
         for row_t, row_o in zip(self.transitions, self.outputs):
@@ -497,7 +451,7 @@ def states_bfs(inst: Instance, g, cap: int):
                 order.append(s)
             row_t.append(j)
         transitions.append(row_t)
-        outputs.append(dec.perm.images)
+        outputs.append(dec.perm)
         qi += 1
     return MealyAutomaton(
         inst.degree,
@@ -532,7 +486,11 @@ def transversal_validate(inst: Instance, sample=()) -> bool:
 
 
 def transitivity_check(inst: Instance, gens) -> bool:
-    """Whether the level permutations of the generators act transitively."""
+    """Whether the level permutations of the generators act transitively.
+
+    The search follows forward images only: a permutation of a finite set
+    has its inverse among its powers, so the forward closure of 0 is
+    already its orbit under the generated group."""
     perms = [decompose(inst, g).perm for g in gens]
     m = inst.degree
     seen = {0}
@@ -540,10 +498,10 @@ def transitivity_check(inst: Instance, gens) -> bool:
     while frontier:
         i = frontier.pop()
         for perm in perms:
-            for j in (perm(i), perm.inverse()(i)):
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
     return len(seen) == m
 
 
@@ -555,13 +513,14 @@ def faithfulness_probe(inst: Instance, g, max_depth: int):
     """
     if g == inst.identity():
         raise ValueError("faithfulness probe requires a nontrivial element")
+    fixed = tuple(range(inst.degree))
     seen = {g}
     level = [g]
     for depth in range(1, max_depth + 1):
         nxt = []
         for h in level:
             dec = decompose(inst, h)
-            if not dec.perm.is_identity:
+            if dec.perm != fixed:
                 return depth
             for s in dec.states:
                 if s not in seen:

@@ -68,15 +68,13 @@ class AffineInstance(Instance):
         v = tuple(v)
         if len(v) != self.n or b.size != self.n:
             raise ValueError("dimension mismatch")
-        det = b.det()
-        if det.degree != 0:
+        n, rows = self.n, b.rows
+        if any(rows[i][j].eval(1) for i in range(n) for j in range(i + 1, n)):
+            raise InstanceConfigError("entry above the diagonal is not divisible by x-1")
+        # b(1) is now lower triangular, so det(b)(1) is the product of the
+        # b_ii(1): a zero among them refuses b before its n!-term determinant
+        if not all(rows[i][i].eval(1) for i in range(n)) or b.det().degree != 0:
             raise InstanceConfigError("matrix is not invertible over F_p[x]")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if b.rows[i][j].eval(1):
-                    raise InstanceConfigError(
-                        "entry above the diagonal is not divisible by x-1"
-                    )
         return AffineElem(v, b)
 
     def from_literal(self, data: dict) -> AffineElem:

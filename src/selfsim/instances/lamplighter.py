@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ..engine import ContractViolation, Instance, NotInH, Perm, WreathDecomp, decompose, states_within
+from ..engine import ContractViolation, Instance, NotInH, WreathDecomp, decompose, states_within
 from ..ring import (
     DensePoly,
     LocalizedRing,
@@ -191,11 +191,10 @@ class LampInstance(Instance):
         p = self.p
         ring = self.ring
         zeros = (0,) * self.n
-        cycle = Perm(tuple((i + 1) % p for i in range(p)))
         if g.q == zeros and g.r == ring.one:
-            return WreathDecomp(cycle, (self._identity,) * p)
+            return WreathDecomp(tuple((i + 1) % p for i in range(p)), (self._identity,) * p)
         if g.q == zeros and g.r == ring.constant(-1):
-            return WreathDecomp(cycle.inverse(), (self._identity,) * p)
+            return WreathDecomp(tuple((i - 1) % p for i in range(p)), (self._identity,) * p)
         j = next((k for k, e in enumerate(g.q) if e), None)
         if j is None or any(e for k, e in enumerate(g.q) if k != j):
             raise ValueError("unsupported element shape")
@@ -209,7 +208,7 @@ class LampInstance(Instance):
                 LampElem(w.mul_unit(-i % p, zeros) if i else ring.zero, g.q)
                 for i in range(p)
             )
-            return WreathDecomp(Perm.identity(p), states)
+            return WreathDecomp(tuple(range(p)), states)
         if g.q[j] == -1 and g.r.is_poly:
             lam = g.r.num
             lt, lam1 = divmod(lam, ring.pivot)[0], lam.eval(1)
@@ -219,8 +218,7 @@ class LampInstance(Instance):
                 s = (i + lam1) % p
                 r = ring.from_poly(lt) - w.mul_unit(s, zeros) if s else ring.from_poly(lt)
                 states.append(LampElem(r, g.q))
-            perm = Perm(tuple((i + lam1) % p for i in range(p)))
-            return WreathDecomp(perm, tuple(states))
+            return WreathDecomp(tuple((i + lam1) % p for i in range(p)), tuple(states))
         raise ValueError("unsupported element shape")
 
     def power_identity_check(self, i_max: int, lambdas) -> bool:
@@ -231,7 +229,7 @@ class LampInstance(Instance):
         """
         p = self.p
         ring = self.ring
-        cycle = Perm(tuple((i + 1) % p for i in range(p)))
+        cycle = tuple((i + 1) % p for i in range(p))
         for i in range(1, i_max + 1):
             lhs = decompose(self, self.u_power(DensePoly.x(p) ** i))
             acc = DensePoly.zero(p)
@@ -243,7 +241,7 @@ class LampInstance(Instance):
         for lam in lambdas:
             lhs = decompose(self, self.u_power(lam))
             lt, lam1 = divmod(lam, ring.pivot)[0], lam.eval(1)
-            perm = Perm(tuple((i + lam1) % p for i in range(p)))
+            perm = tuple((i + lam1) % p for i in range(p))
             expected = WreathDecomp(perm, (self.u_power(lt),) * p)
             if lhs.perm != expected.perm or lhs.states != expected.states:
                 return False

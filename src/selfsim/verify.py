@@ -48,10 +48,10 @@ def _image_codes(inst, g, level: int, code: int = 0):
     dec = decompose(inst, g)
     code *= inst.degree
     if level == 1:
-        for b in dec.perm.images:
+        for b in dec.perm:
             yield code + b
         return
-    for b, s in zip(dec.perm.images, dec.states):
+    for b, s in zip(dec.perm, dec.states):
         yield from _image_codes(inst, s, level - 1, code + b)
 
 

@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, deterministic outputs, expression parsing,
 and the documented file formats."""
 
+import itertools
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from selfsim.cli import (
     MAX_WORD_LENGTH,
     ElementExpr,
     ExprError,
+    cycles,
     eval_expr,
     main,
     parse_expr,
@@ -21,7 +24,8 @@ from selfsim.cli import (
 from selfsim.instances import load_config
 from selfsim.ring import MAX_POLY_DEGREE
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(capsys, *argv):
@@ -52,6 +56,23 @@ def test_parse_expr_rejects_garbage():
         parse_expr("")
     with pytest.raises(ExprError):
         parse_expr("{not json")
+
+
+@pytest.mark.parametrize(
+    "text", ["u^", "u^ x0", "u^1_0", "u^\u0661\u0660", "u^2^3", "u^+-1", "u^ 2", "u^x0", "u^1.0"]
+)
+def test_parse_expr_caret_takes_only_a_signed_integer(capsys, text):
+    # a bare caret, underscores and non-ASCII digits are refused, not read
+    # as exponent 1 or 10
+    with pytest.raises(ExprError, match="bad exponent"):
+        parse_expr(text)
+    code, out, err = run(capsys, "decompose", str(CONFIGS / "lamplighter_p2_n1.json"), text)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("expression error: bad exponent") and err.count("\n") == 1
+
+
+def test_parse_expr_signed_exponents():
+    assert parse_expr("u^+2 x0^-1 u^007").terms == (("u", 2), ("x0", -1), ("u", 7))
 
 
 def test_parse_expr_bounds_word_length():
@@ -351,6 +372,33 @@ def test_decompose_u_p3(capsys):
     assert data["states"] == ["e", "e", "e"]
 
 
+def _perm_cycles(images) -> str:
+    """The cycle rendering of the former engine permutation class, kept
+    as the oracle of `cycles`."""
+    seen = [False] * len(images)
+    parts = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = images[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = images[j]
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) if parts else "()"
+
+
+def test_cycles_match_the_oracle_on_every_small_permutation():
+    for m in range(6):
+        for images in itertools.permutations(range(m)):
+            assert cycles(images) == _perm_cycles(images)
+    assert cycles((0, 1, 2)) == "()" and cycles((1, 2, 0, 4, 3)) == "(0 1 2)(3 4)"
+
+
 def test_decompose_x0_inverse(capsys):
     code, out, _ = run(
         capsys, "decompose", str(CONFIGS / "lamplighter_p2_n1.json"), "x0^-1"
@@ -570,3 +618,28 @@ def test_tame_unsupported_family(capsys):
     code, _, err = run(capsys, "tame", str(CONFIGS / "affine_n3_p2.json"))
     assert code == EXIT_INVALID
     assert "lamplighter" in err
+
+
+# -- README ----------------------------------------------------------------------
+
+
+def _readme_commands() -> list:
+    """The argument lists of the `selfsim ...` lines of the README's CLI
+    block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("selfsim ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert commands
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        if "-o" in argv:
+            k = argv.index("-o") + 1
+            argv[k] = str(tmp_path / argv[k])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        assert out
+    assert (tmp_path / "aut.json").exists()

@@ -2,6 +2,7 @@
 deliberately broken test doubles for the negative controls."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,6 @@ from selfsim.engine import (
     Instance,
     MealyAutomaton,
     NotInH,
-    Perm,
     act_on_word,
     decompose,
     faithfulness_probe,
@@ -31,6 +31,7 @@ from selfsim.ring import DensePoly, vec
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(f.stem for f in CONFIGS.glob("*.json") if not f.stem.startswith("invalid"))
 
 
 def P(p, *coeffs):
@@ -44,26 +45,13 @@ def lamp(p=2, n=1):
     return LampInstance(p, polys)
 
 
-# -- Perm ----------------------------------------------------------------------
-
-
-def test_perm_validation_and_composition():
-    with pytest.raises(ValueError):
-        Perm((0, 0))
-    a = Perm((1, 2, 0))
-    b = Perm((0, 2, 1))
-    assert a.inverse().images == (2, 0, 1) and b.inverse() == b
-    assert Perm.identity(3).cycles() == "()"
-    assert a.cycles() == "(0 1 2)"
-
-
 # -- decompose -----------------------------------------------------------------
 
 
 def test_decompose_identity_is_trivial():
     inst = lamp()
     dec = decompose(inst, inst.identity())
-    assert dec.perm.is_identity
+    assert dec.perm == (0, 1)
     assert all(s == inst.identity() for s in dec.states)
 
 
@@ -72,7 +60,7 @@ def test_decompose_u_is_cycle_with_trivial_states():
         inst = lamp(p)
         u = inst.generators()["u"]
         dec = decompose(inst, u)
-        assert dec.perm.images == tuple((i + 1) % p for i in range(p))
+        assert dec.perm == tuple((i + 1) % p for i in range(p))
         assert all(s == inst.identity() for s in dec.states)
 
 
@@ -81,7 +69,7 @@ def test_decompose_x0_inverse_matches_classical_pair():
     gens = inst.generators()
     g = inst.invert(gens["x0"])
     dec = decompose(inst, g)
-    assert dec.perm.is_identity
+    assert dec.perm == (0, 1)
     u_inv = inst.invert(gens["u"])
     assert dec.states == (g, inst.multiply(u_inv, g))
 
@@ -93,9 +81,9 @@ def test_decompose_inverse_relation():
         g = inst.random_element(rng)
         dg = decompose(inst, g)
         dginv = decompose(inst, inst.invert(g))
-        assert dginv.perm == dg.perm.inverse()
         for i in range(inst.degree):
-            assert dginv.states[dg.perm(i)] == inst.invert(dg.states[i])
+            assert dginv.perm[dg.perm[i]] == i
+            assert dginv.states[dg.perm[i]] == inst.invert(dg.states[i])
 
 
 # -- act_on_word ---------------------------------------------------------------
@@ -214,12 +202,12 @@ def test_product_rule_detects_corrupted_multiply_after_warm_up():
     g, h = inst.random_element(rng), inst.random_element(rng)
     offset = next(
         x for x in (inst.random_h_element(rng) for _ in range(50))
-        if x != inst.identity() and decompose(inst, x).perm.is_identity
+        if x != inst.identity() and decompose(inst, x).perm == (0, 1)
     )
     assert product_rule_check(inst, g, h, 1)
     dg, dh = decompose(inst, g), decompose(inst, h)
     for i in range(inst.degree):
-        assert (dg.states[i], dh.states[dg.perm(i)]) in inst._product_cache
+        assert (dg.states[i], dh.states[dg.perm[i]]) in inst._product_cache
     # forget the verified pair, which would otherwise be skipped outright;
     # the product map stays warm
     inst._prule_cache.clear()
@@ -294,6 +282,33 @@ def test_export_json_round_trip_byte_identical():
 def test_automaton_rejects_nonpermutation_outputs():
     with pytest.raises(ValueError):
         MealyAutomaton(2, 0, ("a",), ((0, 0),), ((0, 0),))
+
+
+@pytest.mark.parametrize(
+    "degree, initial, states, match",
+    [
+        (1, 5, ["a"], "initial state 5"),
+        (1, -1, ["a"], "initial state -1"),
+        (1, 0, [], "initial state 0 is not one of the 0 states"),
+        (0, 0, ["a"], "degree must be >= 1"),
+        (True, 0, ["a"], "degree must be an integer"),
+        (1.0, 0, ["a"], "degree must be an integer"),
+        (1, False, ["a"], "initial must be an integer"),
+        (1, "0", ["a"], "initial must be an integer"),
+    ],
+)
+def test_automaton_json_rejects_a_bad_initial_or_degree(degree, initial, states, match):
+    # the tables are consistent, so only degree or initial can be at fault
+    width = degree if isinstance(degree, int) else 1
+    blob = json.dumps({
+        "degree": degree,
+        "initial": initial,
+        "states": states,
+        "transitions": [[0] * width for _ in states],
+        "outputs": [list(range(width)) for _ in states],
+    }).encode()
+    with pytest.raises(ValueError, match=match):
+        MealyAutomaton.from_json_bytes(blob)
 
 
 # -- portrait --------------------------------------------------------------------
@@ -391,6 +406,39 @@ def test_transitivity_of_generators():
 def test_transitivity_fails_for_identity_only():
     inst = lamp(3)
     assert not transitivity_check(inst, [inst.identity()])
+
+
+def _orbit_is_everything(perms, m) -> bool:
+    """The oracle: a search from 0 along each image tuple and its inverse."""
+    tables = list(perms)
+    for perm in perms:
+        inverse = [0] * m
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        tables.append(inverse)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for table in tables:
+            if table[i] not in seen:
+                seen.add(table[i])
+                frontier.append(table[i])
+    return len(seen) == m
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_transitivity_matches_a_search_along_inverses_too(config):
+    # the check follows forward images only, which reach the inverse images
+    # too: on all generators, random subsets of them, and the identity alone
+    inst = load_config(CONFIGS / f"{config}.json")
+    gens = [g for name, g in inst.generators().items() if name != "e"]
+    rng = random.Random(61)
+    subsets = [gens, [inst.identity()]]
+    subsets += [rng.sample(gens, rng.randrange(1, len(gens) + 1)) for _ in range(20)]
+    for subset in subsets:
+        perms = [decompose(inst, g).perm for g in subset]
+        assert transitivity_check(inst, subset) == _orbit_is_everything(perms, inst.degree)
 
 
 # -- faithfulness probe -------------------------------------------------------------
@@ -579,14 +627,15 @@ def test_decompositions_with_equal_images_share_one_perm(config):
     rng = random.Random(71)
     for _ in range(2):
         assert product_rule_check(inst, inst.random_element(rng), inst.random_element(rng), 2)
+    # a level permutation is its image tuple, the one object the pool
+    # holds as both key and value
+    pool = inst._perm_pool
     perms = {}
     for dec in inst._decomp_cache.values():
-        assert perms.setdefault(dec.perm.images, dec.perm) is dec.perm
-    assert perms == inst._perm_pool and len(perms) < len(inst._decomp_cache)
-    assert all(inst._perm_pool[images] is perm for images, perm in perms.items())
-
-
-SHIPPED = sorted(f.stem for f in CONFIGS.glob("*.json") if not f.stem.startswith("invalid"))
+        assert type(dec.perm) is tuple and pool[dec.perm] is dec.perm
+        assert perms.setdefault(dec.perm, dec.perm) is dec.perm
+    assert perms == pool and len(perms) < len(inst._decomp_cache)
+    assert all(images is perm for images, perm in pool.items())
 
 
 @pytest.mark.parametrize("config", SHIPPED)
@@ -654,7 +703,7 @@ def test_non_bijective_letters_raise_on_every_call():
     decompose(inst, inst.identity())
     pooled = dict(inst._perm_pool)
     for _ in range(2):
-        with pytest.raises(ContractViolation, match="not a bijection"):
+        with pytest.raises(ContractViolation, match=r"^not a bijection: \(0, 0, 0\)$"):
             decompose(inst, inst.bad)
     assert inst._perm_pool == pooled and inst.bad not in inst._decomp_cache
 

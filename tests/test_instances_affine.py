@@ -1,6 +1,7 @@
 """Affine family: closed-form coset index vs search, shift/conjugation
 endomorphism, and bounded-degree state closure."""
 
+import json
 import random
 import warnings
 
@@ -17,7 +18,7 @@ from selfsim.engine import (
 from selfsim.instances import MAX_AFFINE_DIM, InstanceConfigError, load_config
 from selfsim.instances.affine import AffineElem, AffineInstance
 from selfsim.matrix import PolyMat, conj_by_A, rho
-from selfsim.ring import DensePoly
+from selfsim.ring import MAX_POLY_DEGREE, DensePoly
 
 
 def make(n=3, p=2):
@@ -49,6 +50,53 @@ def test_make_element_rejects_off_subgroup():
     rows[0][0] = DensePoly.x(2)
     with pytest.raises(InstanceConfigError):
         inst.make_element(inst._zero_vec, PolyMat(2, rows))
+
+
+def _refuse_det(self):
+    raise AssertionError("the determinant was expanded")
+
+
+def test_make_element_runs_the_cheap_tests_before_the_determinant(monkeypatch):
+    # an entry above the diagonal off (x-1), or a diagonal entry vanishing
+    # at 1 once those entries are multiples of x-1, refuses b without det(b)
+    inst = make(4, 3)
+    ident = PolyMat.identity(3, 4)
+    off_above = [list(r) for r in ident.rows]
+    off_above[1][3] = DensePoly(3, (1, 0, 1))
+    zero_at_one = [list(r) for r in ident.rows]
+    zero_at_one[2][2] = DensePoly(3, (2, 1))
+    zero_at_one[0][1] = DensePoly(3, (2, 1))
+    zero_at_one[3][0] = DensePoly(3, (1, 1, 1))
+    monkeypatch.setattr(PolyMat, "det", _refuse_det)
+    with pytest.raises(InstanceConfigError, match="above the diagonal"):
+        inst.make_element(inst._zero_vec, PolyMat(3, off_above))
+    with pytest.raises(InstanceConfigError, match="not invertible over F_p"):
+        inst.make_element(inst._zero_vec, PolyMat(3, zero_at_one))
+    # a literal that passes both still pays for its determinant
+    with pytest.raises(AssertionError, match="determinant"):
+        inst.make_element(inst._zero_vec, ident)
+
+
+def test_dense_literal_off_the_subgroup_is_refused_without_a_determinant(
+    tmp_path, capsys, monkeypatch
+):
+    # a dense n = 8 literal of degree-64 entries whose (0, 1) entry is not
+    # a multiple of x-1: its 8!-term determinant took 18 s before
+    from selfsim.cli import EXIT_PARSE, main
+
+    rng = random.Random(67)
+    n, top = MAX_AFFINE_DIM, MAX_POLY_DEGREE
+    rows = [[[rng.randrange(2) for _ in range(top)] + [1] for _ in range(n)] for _ in range(n)]
+    rows[0][1] = [1] * (top + 1)
+    assert DensePoly(2, rows[0][1]).eval(1) == 1
+    config = tmp_path / "affine.json"
+    config.write_text(json.dumps({"family": "affine", "p": 2, "n": n}))
+    monkeypatch.setattr(PolyMat, "det", _refuse_det)
+    code = main(["decompose", str(config), json.dumps({"b": rows})])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert "above the diagonal is not divisible by x-1" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_load_config():

@@ -149,18 +149,16 @@ def test_word_check_holds_only_the_marks_in_memory():
 
 
 def test_word_bijectivity_detects_a_non_bijective_action(monkeypatch):
-    # Perm refuses a non-bijective level map, so the double replaces the
-    # decomposition the check reads: the identity's level map sends every
-    # letter to 0, which u, whose states are the identity, reaches at level 2
+    # decompose refuses a non-bijective level map, so the double replaces
+    # the decomposition the check reads: the identity's level map sends
+    # every letter to 0, which u, whose states are the identity, reaches at
+    # level 2
     inst = load_config(CONFIGS / "lamplighter_p2_n1.json")
     e = inst.identity()
 
-    class Fold:
-        images = (0,) * inst.degree
-
     def folding(inst_, g):
         dec = decompose(inst_, g)
-        return WreathDecomp(Fold(), dec.states) if g == e else dec
+        return WreathDecomp((0,) * inst.degree, dec.states) if g == e else dec
 
     monkeypatch.setattr("selfsim.verify.decompose", folding)
     u = inst.generators()["u"]
@@ -177,12 +175,9 @@ def test_word_bijectivity_counts_every_word(monkeypatch, level_map):
     inst = load_config(CONFIGS / "lamplighter_p2_n1.json")
     e = inst.identity()
 
-    class Resized:
-        images = level_map
-
     def resized(inst_, g):
         dec = decompose(inst_, g)
-        return WreathDecomp(Resized(), (e,) * len(level_map)) if g == e else dec
+        return WreathDecomp(level_map, (e,) * len(level_map)) if g == e else dec
 
     monkeypatch.setattr("selfsim.verify.decompose", resized)
     u = inst.generators()["u"]
