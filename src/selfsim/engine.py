@@ -343,6 +343,10 @@ class CapExceeded:
     frontier: int
 
 
+# the keys of an automaton document, in constructor order
+AUTOMATON_KEYS = ("degree", "initial", "states", "transitions", "outputs")
+
+
 class MealyAutomaton:
     """A complete deterministic transducer over the alphabet {0, ..., m-1}
     whose per-state output maps are permutations."""
@@ -358,8 +362,12 @@ class MealyAutomaton:
         self.elements = elements
         n = len(self.state_labels)
         for key, value in (("degree", degree), ("initial", initial)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:
                 raise ValueError(f"automaton {key} must be an integer")
+        if any(type(label) is not str for label in self.state_labels):
+            raise ValueError("automaton state labels must be strings")
+        if any(type(v) is not int for row in self.transitions + self.outputs for v in row):
+            raise ValueError("automaton table entries must be integers")
         if degree < 1:
             raise ValueError("automaton degree must be >= 1")
         if not 0 <= initial < n:
@@ -397,14 +405,17 @@ class MealyAutomaton:
 
     @staticmethod
     def from_json_bytes(data: bytes) -> "MealyAutomaton":
+        """The automaton of a `to_json_bytes` document; ValueError on
+        anything else."""
         obj = json.loads(data.decode())
-        return MealyAutomaton(
-            obj["degree"],
-            obj["initial"],
-            obj["states"],
-            obj["transitions"],
-            obj["outputs"],
-        )
+        if not isinstance(obj, dict) or obj.keys() != set(AUTOMATON_KEYS):
+            raise ValueError("an automaton is a JSON object with exactly the keys " + ", ".join(AUTOMATON_KEYS))
+        tables = obj["transitions"], obj["outputs"]
+        if not isinstance(obj["states"], list) or not all(
+            isinstance(t, list) and all(isinstance(row, list) for row in t) for t in tables
+        ):
+            raise ValueError("automaton states, tables and table rows must be JSON lists")
+        return MealyAutomaton(*(obj[key] for key in AUTOMATON_KEYS))
 
     def to_dot_bytes(self) -> bytes:
         def quote(s: str) -> str:

@@ -35,10 +35,15 @@ How `DensePoly` stores its coefficients is this module's decision alone.
 Other modules use only the constructors (`DensePoly(p, coeffs)`, `zero`,
 `one`, `x`, `constant`, `from_json`), `to_json()` (ascending degree, no
 trailing zeros), the arithmetic (`mul_scalar`, `divmod` and `**` among
-it), `degree`, `lead`, `eval`, `is_zero`, `render`, equality and hashing;
-a second representation (a packed F_2[x], say) must meet this contract.
-Today a polynomial is a dense tuple of residues in ascending degree with
-no trailing zeros; the zero polynomial is the empty tuple, of degree -inf.
+it), `degree`, `lead`, `eval`, `is_zero`, `render`, equality and hashing.
+It has two storages behind that one class.  At odd p a polynomial is a
+dense tuple of residues in ascending degree with no trailing zeros; the
+zero polynomial is the empty tuple, of degree -inf.  At p = 2 it is packed
+into one int whose bit i is the coefficient of x^i: `+` and `-` are XOR,
+`*` shift-XORs over the set bits of one factor, and `divmod` is a
+shift-XOR long division (Brent, Gaudry, Thome and Zimmermann, "Faster
+multiplication in GF(2)[x]", 2008).  The tuple storage stays reachable at
+p = 2 through `_raw`, as the tests' oracle for the packed one.
 Multivariate Laurent polynomials are sparse maps from integer exponent
 vectors to nonzero residues.
 
@@ -48,6 +53,7 @@ ring arithmetic never re-validates its own values.  A result that is
 reduced and trimmed by construction (a negation, a multiple by a nonzero
 scalar, a quotient) goes straight to `_raw`; the others (sums, products,
 remainders) pass through the one reduce-and-trim helper `_canon` first.
+Every packed result is reduced and trimmed, and goes straight to `_packed`.
 
 All values are immutable after construction and safe to share; hashes are
 computed on first use.  Exponent vectors are shared too: `vec(t)` returns
@@ -120,24 +126,80 @@ def _canon(p: int, coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-class DensePoly:
-    """A univariate polynomial over F_p, coefficients in ascending degree."""
+def _pack(coeffs) -> int:
+    """The packed F_2[x] polynomial with these integer coefficients in
+    ascending degree: bit i is coefficient i mod 2."""
+    bits = 0
+    for i, c in enumerate(coeffs):
+        if int(c) % 2:
+            bits |= 1 << i
+    return bits
 
-    __slots__ = ("p", "coeffs", "_hash")
+
+def _unpack(bits: int) -> list[int]:
+    """The coefficients of a packed polynomial in ascending degree, with no
+    trailing zeros."""
+    return [int(c) for c in reversed(f"{bits:b}")] if bits else []
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(i: int) -> str:
+    """x^i as `render` writes it; one string per degree ever rendered."""
+    return "1" if i == 0 else "x" if i == 1 else f"x^{i}"
+
+
+class DensePoly:
+    """A univariate polynomial over F_p, coefficients in ascending degree.
+
+    At p = 2 it is packed: `_bits` is an int whose bit i is the coefficient
+    of x^i, and `coeffs` stays None until `_coeff_tuple` first needs it.
+    At odd p `_bits` is None and `coeffs` holds the tuple.  Every method
+    switches on `_bits`; results keep the storage of their operands."""
+
+    __slots__ = ("p", "_bits", "coeffs", "_hash")
 
     def __init__(self, p: int, coeffs=()):
         self.p = p
-        self.coeffs = _canon(p, [int(c) for c in coeffs])
-        self._hash = None
+        if p == 2:
+            self._bits = _pack(coeffs)
+            self.coeffs = None
+        else:
+            self._bits = None
+            self.coeffs = _canon(p, [int(c) for c in coeffs])
+            self._hash = None
 
     @classmethod
     def _raw(cls, p: int, coeffs: tuple) -> "DensePoly":
-        """Internal: coeffs already reduced mod p with no trailing zeros."""
+        """Internal: the tuple storage, coeffs already reduced mod p with no
+        trailing zeros.  At p = 2 this is the packed storage's oracle."""
         out = cls.__new__(cls)
         out.p = p
+        out._bits = None
         out.coeffs = coeffs
         out._hash = None
         return out
+
+    @classmethod
+    def _packed(cls, bits: int) -> "DensePoly":
+        """Internal: the packed storage of the F_2[x] polynomial bits."""
+        out = cls.__new__(cls)
+        out.p = 2
+        out._bits = bits
+        out.coeffs = None
+        return out
+
+    def _coeff_tuple(self) -> tuple:
+        """The coefficients as a tuple, built once for a packed value."""
+        out = self.coeffs
+        if out is None:
+            out = self.coeffs = tuple(_unpack(self._bits))
+        return out
+
+    def _like(self, coeffs: tuple) -> "DensePoly":
+        """Reduced, trimmed coefficients in the storage of self."""
+        if self._bits is None:
+            return DensePoly._raw(self.p, coeffs)
+        return DensePoly._packed(_pack(coeffs))
 
     @staticmethod
     def from_json(p: int, data) -> "DensePoly":
@@ -168,45 +230,75 @@ class DensePoly:
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
+        b = self._bits
+        if b is not None:
+            return b.bit_length() - 1 if b else NEG_INF
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     @property
     def lead(self) -> int:
         """The leading coefficient; 0 for the zero polynomial."""
+        b = self._bits
+        if b is not None:
+            return 1 if b else 0
         return self.coeffs[-1] if self.coeffs else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        b = self._bits
+        return not self.coeffs if b is None else not b
 
     @property
     def is_monic(self) -> bool:
         return self.lead == 1
 
-    def _check(self, other: "DensePoly") -> None:
+    def __add__(self, other: "DensePoly") -> "DensePoly":
         if self.p != other.p:
             raise ValueError("mixed moduli")
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        self._check(other)
+        a = self._bits
+        if a is not None:
+            return DensePoly._packed(a ^ other._bits)
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return DensePoly._raw(self.p, _canon(self.p, [a + b for a, b in pairs]))
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
-        self._check(other)
+        if self.p != other.p:
+            raise ValueError("mixed moduli")
+        a = self._bits
+        if a is not None:
+            return DensePoly._packed(a ^ other._bits)
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return DensePoly._raw(self.p, _canon(self.p, [a - b for a, b in pairs]))
 
     def __neg__(self) -> "DensePoly":
+        if self._bits is not None:
+            return self
         p = self.p
         return DensePoly._raw(p, tuple([-c % p for c in self.coeffs]))
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
-        self._check(other)
+        if self.p != other.p:
+            raise ValueError("mixed moduli")
+        a = self._bits
+        if a is not None:
+            b = other._bits
+            # a factor one is common: most diagonal entries of triangular matrices
+            if a == 1:
+                return other
+            if b == 1:
+                return self
+            # shift-XOR over the set bits of the sparser factor
+            if a.bit_count() > b.bit_count():
+                a, b = b, a
+            out = 0
+            while a:
+                low = a & -a
+                out ^= b << (low.bit_length() - 1)
+                a ^= low
+            return DensePoly._packed(out)
         a, b, p = self.coeffs, other.coeffs, self.p
         if not a or not b:
-            return DensePoly.zero(p)
-        # a factor one is common: most diagonal entries of triangular matrices
+            return DensePoly._raw(p, ())
         if a == (1,):
             return other
         if b == (1,):
@@ -222,20 +314,34 @@ class DensePoly:
         p = self.p
         c %= p
         if c == 0:
-            return DensePoly.zero(p)
+            return self._like(())
         if c == 1:
             return self
         return DensePoly._raw(p, tuple([cc * c % p for cc in self.coeffs]))
 
     def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
-        self._check(other)
+        if self.p != other.p:
+            raise ValueError("mixed moduli")
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        r = self._bits
+        if r is not None:
+            b = other._bits
+            db = b.bit_length()
+            shift = r.bit_length() - db
+            if shift < 0:
+                return DensePoly._packed(0), self
+            q = 0
+            while shift >= 0:
+                q |= 1 << shift
+                r ^= b << shift
+                shift = r.bit_length() - db
+            return DensePoly._packed(q), DensePoly._packed(r)
         p = self.p
         r = list(self.coeffs)
         db = len(other.coeffs) - 1
         if len(r) - 1 < db:
-            return DensePoly.zero(p), self
+            return DensePoly._raw(p, ()), self
         q = [0] * (len(r) - db)
         inv_lead = pow(other.coeffs[-1], p - 2, p)
         bc = other.coeffs
@@ -258,7 +364,7 @@ class DensePoly:
         """self^k by square-and-multiply, reduced mod modulus when given."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        out, base = DensePoly.one(self.p), self
+        out, base = self._like((1,)), self
         if modulus is not None:
             out, base = out % modulus, base % modulus
         while k:
@@ -270,6 +376,11 @@ class DensePoly:
 
     def eval(self, c: int) -> int:
         """Evaluate at c, returned as a residue in [0, p)."""
+        b = self._bits
+        if b is not None:
+            # at an even point only the constant term survives, at an odd
+            # one every term counts once
+            return b.bit_count() & 1 if c % 2 else b & 1
         acc = 0
         for coeff in reversed(self.coeffs):
             acc = (acc * c + coeff) % self.p
@@ -281,7 +392,7 @@ class DensePoly:
         d = self.degree
         if d is NEG_INF or d == 0:
             return False
-        x = DensePoly.x(self.p)
+        x = self._like((0, 1))
         h = x
         for _ in range(int(d) // 2):
             h = pow(h, self.p, self)
@@ -293,8 +404,8 @@ class DensePoly:
         """Return (g, s, t) with s*self + t*other = g and g monic (or zero)."""
         p = self.p
         r0, r1 = self, other
-        s0, s1 = DensePoly.one(p), DensePoly.zero(p)
-        t0, t1 = DensePoly.zero(p), DensePoly.one(p)
+        s0, s1 = self._like((1,)), self._like(())
+        t0, t1 = s1, s0
         while not r1.is_zero:
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
@@ -310,26 +421,44 @@ class DensePoly:
         g, s, _ = self.ext_gcd(modulus)
         if g.degree != 0:
             raise NotInvertible(f"{self.render()} is not invertible mod {modulus.render()}")
-        return (s % modulus).mul_scalar(pow(g.coeffs[0], self.p - 2, self.p))
+        return (s % modulus).mul_scalar(pow(g.lead, self.p - 2, self.p))
 
     def __eq__(self, other: object) -> bool:
+        # a packed value and a tuple-stored one are never equal: the tuple
+        # storage at p = 2 is an oracle and does not mix with the packed one
+        b = self._bits
+        if b is not None:
+            return isinstance(other, DensePoly) and other._bits == b
         return (
             isinstance(other, DensePoly)
+            and other._bits is None
             and self.p == other.p
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
+        b = self._bits
+        if b is not None:
+            return hash(b)
         if self._hash is None:
             self._hash = hash((self.p, self.coeffs))
         return self._hash
 
     def to_json(self) -> list[int]:
-        return list(self.coeffs)
+        b = self._bits
+        return list(self.coeffs) if b is None else _unpack(b)
 
     def render(self) -> str:
         if self.is_zero:
             return "0"
+        b = self._bits
+        if b is not None:
+            terms = []
+            while b:
+                i = b.bit_length() - 1
+                terms.append(_monomial(i))
+                b ^= 1 << i
+            return "+".join(terms)
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
@@ -338,7 +467,7 @@ class DensePoly:
             if i == 0:
                 parts.append(str(c))
             else:
-                xs = "x" if i == 1 else f"x^{i}"
+                xs = _monomial(i)
                 parts.append(xs if c == 1 else f"{c}{xs}")
         return "+".join(parts)
 
@@ -531,7 +660,7 @@ class SFraction(_LocalFraction):
         modulus = self.ring.pivot_pow(k)
         num = self.num % modulus
         inv = self.ring._den_inverse(self.den, k)
-        return num if inv.coeffs == (1,) else num * inv % modulus
+        return num if inv == self.ring.one.num else num * inv % modulus
 
     @staticmethod
     def from_json(ring: LocalizedRing, data) -> "SFraction":
@@ -804,8 +933,9 @@ class MultiLaurent:
         """Multiply by g(x_axis)."""
         out: dict = {}
         p = self.p
+        gcs = g._coeff_tuple()
         for e, c in self.terms.items():
-            for j, gc in enumerate(g.coeffs):
+            for j, gc in enumerate(gcs):
                 if gc:
                     e2 = e[:axis] + (e[axis] + j,) + e[axis + 1 :]
                     v = (out.get(e2, 0) + c * gc) % p
@@ -827,10 +957,11 @@ class MultiLaurent:
             return self
         if g.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        gcs = g._coeff_tuple()
         v = 0
-        while g.coeffs[v] == 0:
+        while gcs[v] == 0:
             v += 1
-        gt = g.coeffs[v:]
+        gt = gcs[v:]
         dg = len(gt) - 1
         p = self.p
         lo = hi = None

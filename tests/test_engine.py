@@ -284,6 +284,53 @@ def test_automaton_rejects_nonpermutation_outputs():
         MealyAutomaton(2, 0, ("a",), ((0, 0),), ((0, 0),))
 
 
+GOOD_AUTOMATON = {
+    "degree": 2, "initial": 0, "states": ["a", "b"],
+    "transitions": [[0, 1], [1, 0]], "outputs": [[0, 1], [1, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"transitions": [[0.0, 1], [1, 0]]}, "table entries must be integers"),
+        ({"transitions": [[0, True], [1, 0]]}, "table entries must be integers"),
+        ({"outputs": [[0, 1.0], [1, 0]]}, "table entries must be integers"),
+        ({"outputs": [[0, 1], [1, "0"]]}, "table entries must be integers"),
+        ({"states": ["a", 1]}, "state labels must be strings"),
+        ({"states": ["a", None]}, "state labels must be strings"),
+        ({"states": "ab"}, "must be JSON lists"),
+        ({"transitions": [[0, 1], 5]}, "must be JSON lists"),
+        ({"outputs": {"0": [0, 1]}}, "must be JSON lists"),
+        ({"initial": None}, "initial must be an integer"),
+        ({"extra": 1}, "exactly the keys"),
+    ],
+)
+def test_automaton_json_rejects_mistyped_tables(change, match):
+    blob = json.dumps({**GOOD_AUTOMATON, **change}).encode()
+    with pytest.raises(ValueError, match=match):
+        MealyAutomaton.from_json_bytes(blob)
+
+
+@pytest.mark.parametrize("missing", sorted(GOOD_AUTOMATON))
+def test_automaton_json_rejects_a_missing_key(missing):
+    blob = json.dumps({k: v for k, v in GOOD_AUTOMATON.items() if k != missing}).encode()
+    with pytest.raises(ValueError, match="exactly the keys"):
+        MealyAutomaton.from_json_bytes(blob)
+
+
+@pytest.mark.parametrize("blob", [b"[]", b"[1, 2]", b"3", b'"automaton"', b"null"])
+def test_automaton_json_rejects_a_top_level_other_than_an_object(blob):
+    with pytest.raises(ValueError, match="exactly the keys"):
+        MealyAutomaton.from_json_bytes(blob)
+
+
+def test_automaton_json_accepts_the_good_document():
+    aut = MealyAutomaton.from_json_bytes(json.dumps(GOOD_AUTOMATON).encode())
+    assert aut.simulate((0, 1, 1)) == (0, 1, 0)
+    assert aut.to_dot_bytes().startswith(b"digraph")
+
+
 @pytest.mark.parametrize(
     "degree, initial, states, match",
     [

@@ -73,7 +73,7 @@ def test_poly_divrem_by_x_minus_one_leaves_value_at_one():
             assert lam == q * pivot + r
             assert r.degree < pivot.degree or r.is_zero
             # remainder is the evaluation at 1
-            assert (r.coeffs[0] if r.coeffs else 0) == lam.eval(1)
+            assert r.eval(0) == lam.eval(1)
 
 
 def test_poly_divrem_zero_dividend():
