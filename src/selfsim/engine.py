@@ -40,15 +40,20 @@ decomposition.  A level permutation sigma is its image tuple
 one pooled tuple that every decomposition with those level images holds
 as its `perm`; a tuple is checked to be a bijection on first sight, and
 one that is not is never pooled, so it raises each time.  `_intern_pool`
-keeps one shared object per element value: a decomposition passes g and
-each of its states through it, so equal states are the same object and a
-later lookup hits on identity before any field is compared.
-`_prule_cache` maps a verified pair (a, b) to the depth it was verified
-to.  `_product_cache` maps an operand pair (a_i, b_j) of
-`product_rule_check` to the interned state its product was verified
-against, so a known product is not recomputed; the comparison at each
-node still runs.  Breadth-first searches visit canonical elements in
-discovery order, so all outputs are deterministic.
+keeps one shared object per element value, as both key and value: a
+decomposition passes g and each of its states through it, so equal
+states are the same object and a later lookup hits on identity before
+any field is compared.  An element enters the pool as `share(x)`, which
+a family overrides to rebuild x from ring values pooled once per
+instance (its `_value_pool`), so the insides of stored elements are one
+object per value too; `share` runs on pool misses only, and
+temporaries never pay for it.  `_prule_cache` maps a verified pair
+(a, b) to the depth it was verified to.  `_product_cache` maps an
+operand pair (a_i, b_j) of `product_rule_check` to the interned state
+its product was verified against, written once, so a known product is
+not recomputed; the comparison at each node still runs.  Breadth-first
+searches visit canonical elements in discovery order, so all outputs
+are deterministic.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ class Instance(ABC):
     by the stored t_j^{-1} and `endo_f`; every shipped family overrides it
     with a closed form that makes no group product, and the default stays
     its oracle); `random_element` with a sampler of its own (the default
-    is a random generator word); and `describe`.
+    is a random generator word); `share`, the stored form of an element;
+    and `describe`.
     The verify suites also need `random_h_element`, a random element of H.
     """
 
@@ -150,6 +156,13 @@ class Instance(ABC):
     def describe(self) -> dict:
         """Summary metadata used by the CLI."""
         return {"family": self.family, "degree": self.degree}
+
+    def share(self, x):
+        """x as the memos store it: an equal element, equally hashed and
+        rendered, whose ring values are shared with the other stored
+        elements.  `decompose` calls it once per element value, on an
+        intern pool miss; the default stores x itself."""
+        return x
 
     @cached_property
     def transversal_inverses(self) -> tuple:
@@ -245,6 +258,12 @@ class Instance(ABC):
     def _perm_pool(self) -> dict:
         return {}
 
+    @cached_property
+    def _value_pool(self) -> dict:
+        """The family's pool of ring values, one object per value, that
+        `share` rebuilds stored elements from."""
+        return {}
+
 
 def decompose(inst: Instance, g) -> WreathDecomp:
     """Compute (and memoize) the wreath decomposition of g."""
@@ -260,10 +279,18 @@ def decompose(inst: Instance, g) -> WreathDecomp:
         if sorted(images) != list(range(len(images))):
             raise ContractViolation(f"not a bijection: {images}")
         perm = perms[images] = images
-    intern = inst._intern_pool.setdefault
-    dec = WreathDecomp(perm, tuple([intern(s, s) for s in states]))
-    cache[intern(g, g)] = dec
+    pool = inst._intern_pool
+    dec = WreathDecomp(perm, tuple([pool.get(s) or _interned(inst, pool, s) for s in states]))
+    cache[pool.get(g) or _interned(inst, pool, g)] = dec
     return dec
+
+
+def _interned(inst: Instance, pool: dict, x):
+    """The shared form of x, new to the intern pool, stored as its own key
+    so that the pool keeps no unshared original alive."""
+    x = inst.share(x)
+    pool[x] = x
+    return x
 
 
 def act_on_word(inst: Instance, g, word) -> tuple:
@@ -317,13 +344,15 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
             ai = da.states[i]
             bi = db.states[a_images[i]]
             abi = dab.states[i]
-            expected = products.get((ai, bi))
+            key = (ai, bi)
+            expected = products.get(key)
             if expected is None:
-                expected = inst.multiply(ai, bi)
-            if abi != expected:
+                if abi != inst.multiply(ai, bi):
+                    return False
+                # the interned state, so the map holds no element of its own
+                products[key] = abi
+            elif abi != expected:
                 return False
-            # the interned state, so the map holds no element of its own
-            products[(ai, bi)] = abi
             triples.append((ai, bi, abi))
         memo[(a, b)] = d
         if d > 1:

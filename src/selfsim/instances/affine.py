@@ -84,6 +84,16 @@ class AffineInstance(Instance):
         b = PolyMat.from_json(self.p, data["b"]) if "b" in data else PolyMat.identity(self.p, self.n)
         return self.make_element(v, b)
 
+    def share(self, g: AffineElem) -> AffineElem:
+        """g rebuilt from the value pool: its vector entries, and its
+        matrix, whose entries are pooled when it is new to the pool."""
+        pool = self._value_pool
+        b = pool.get(g.b)
+        if b is None:
+            b = PolyMat._raw(self.p, [[pool.setdefault(e, e) for e in row] for row in g.b.rows])
+            pool[b] = b
+        return AffineElem._make((tuple([pool.setdefault(e, e) for e in g.v]), b))
+
     # -- contract --------------------------------------------------------------
 
     @property

@@ -72,6 +72,7 @@ from ..ring import (
     canonicalize,
     check_keys,
     validate_config,
+    vec,
 )
 from . import MAX_WORD_LENGTH, InstanceConfigError
 
@@ -198,6 +199,19 @@ class BorelInstance(Instance):
         rows = [[x.mul_unit(c, e).num for x, (c, _), e in zip(row, units, exps)] for row in cells]
         return self._element(TriMat(p, rows), exps)
 
+    def share(self, g: BorelElem) -> BorelElem:
+        """g rebuilt from rows and entries out of the value pool, with its
+        exponent vectors pooled through `ring.vec`."""
+        pool = self._value_pool
+        rows = []
+        for row in g.mat.rows:
+            shared = pool.get(row)
+            if shared is None:
+                shared = tuple([pool.setdefault(e, e) for e in row])
+                pool[shared] = shared
+            rows.append(shared)
+        return BorelElem(TriMat._raw(self.p, rows), vec(tuple(map(vec, g.exps))))
+
     # -- contract -----------------------------------------------------------
 
     @property
@@ -260,8 +274,8 @@ class BorelInstance(Instance):
         ident = self._identity.mat.rows
         s_rows = ident[-1:]
         for i in range(self.m - 2, -1, -1):
-            vec = self._reduce_row(self._row_sums(a, i, i, s_rows), g, i)
-            s_rows = (ident[i][: i + 1] + vec[: self.m - 1 - i],) + s_rows
+            reduced = self._reduce_row(self._row_sums(a, i, i, s_rows), g, i)
+            s_rows = (ident[i][: i + 1] + reduced[: self.m - 1 - i],) + s_rows
         return self._inverse_letters[self._letter(s_rows)]
 
     def _residue(self, acc: DensePoly, g: BorelElem, i: int, delta: int) -> DensePoly:
@@ -307,11 +321,11 @@ class BorelInstance(Instance):
                     for e in range(max(k - i, 1)):
                         xe = self.ring._pow(x, e)
                         vecs.append(self._reduce_row([acc * xe for acc in accs], g, i))
-                for code, vec in zip(self._row_codes[i].values(), _span(p, vecs[0], vecs[1:])):
+                for code, reduced in zip(self._row_codes[i].values(), _span(p, vecs[0], vecs[1:])):
                     out.append((
                         share + code,
-                        (ident[i][: i + 1] + vec[: m - 1 - i],) + s_rows,
-                        (a[i][: i + 1] + vec[m - 1 - i :],) + state_rows,
+                        (ident[i][: i + 1] + reduced[: m - 1 - i],) + s_rows,
+                        (a[i][: i + 1] + reduced[m - 1 - i :],) + state_rows,
                     ))
             configs = out
         return configs

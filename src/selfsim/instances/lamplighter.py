@@ -131,6 +131,17 @@ class LampInstance(Instance):
             states.append(LampElem(r, g.q))
         return images, states
 
+    def share(self, g: LampElem) -> LampElem:
+        """g with its exponent and the exponent's numerator from the value
+        pool; q is a pooled vector already."""
+        pool = self._value_pool
+        r = pool.get(g.r)
+        if r is None:
+            num = pool.setdefault(g.r.num, g.r.num)
+            r = g.r if num is g.r.num else SFraction(self.ring, num, g.r.den, _canonical=True)
+            pool[r] = r
+        return g if r is g.r else g._replace(r=r)
+
     def _w(self, q) -> tuple:
         """The numerator and denominator of W = (1 - phi(q)^{-1}) / (x-1),
         memoized per instance."""

@@ -60,8 +60,11 @@ oracle.
 
 Shared values of F.  The values of F depend on r alone: `_f_values` maps
 each a-part r to its p*nk values, so elements that differ only in q and
-y compute them once.  Each new value passes once through `_value_pool`,
-which keeps one object per value of F across all a-parts.  The state at
+y compute them once.  Each new value passes once through the instance's
+one value pool, `_value_pool`, which keeps one object per value across
+all a-parts.  `share` routes the a-part of every element the engine
+stores through the same pool, so the products and samples the memos
+keep hold pooled values as well as the states.  The state at
 a^i x_1^j y_1^k does not depend on i, so it is one object per (j, k),
 held by its p letters.  Both dicts live as long as the instance, like
 the engine's memos; the cofactor check still runs at every letter.
@@ -128,9 +131,8 @@ class WreathInstance(Instance):
         # the letter digit k of y_1^k takes p values, or only 0 in the base family
         self.nk = p if self.localized else 1
         self._identity = WreathElem(self.mring.zero, (0,) * d, (0,) * self.mring.n)
-        # a-part r -> its p*nk values of F, and one object per value of F
+        # a-part r -> its p*nk values of F
         self._f_values: dict = {}
-        self._value_pool: dict = {}
 
     # -- contract -------------------------------------------------------------
 
@@ -227,6 +229,12 @@ class WreathInstance(Instance):
                     images.append(m)
                     states.append(shared[j * nk + k])
         return images, states
+
+    def share(self, g: WreathElem) -> WreathElem:
+        """g with its a-part from the value pool; q and y are pooled
+        vectors already."""
+        r = self._value_pool.setdefault(g.r, g.r)
+        return g if r is g.r else g._replace(r=r)
 
     def _parts(self, r) -> tuple:
         """The p*nk values F(x_1^{-j} g(x_1)^{-k} r), at index j*nk + k,

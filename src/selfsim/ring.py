@@ -56,7 +56,8 @@ remainders) pass through the one reduce-and-trim helper `_canon` first.
 Every packed result is reduced and trimmed, and goes straight to `_packed`.
 
 All values are immutable after construction and safe to share; hashes are
-computed on first use.  Exponent vectors are shared too: `vec(t)` returns
+computed on first use, and `DensePoly.zero(p)` and `one(p)` return one
+shared value per p.  Exponent vectors are shared too: `vec(t)` returns
 the one pooled tuple equal to t, and a fraction's denominator vector is
 stored through it, so the few distinct vectors of a long run are not
 copied into every memoized value.  A `MultiLaurent` hashes the frozenset
@@ -212,11 +213,15 @@ class DensePoly:
         return f
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def zero(p: int) -> "DensePoly":
+        """The zero polynomial, one shared value per p."""
         return DensePoly(p, ())
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def one(p: int) -> "DensePoly":
+        """The constant 1, one shared value per p."""
         return DensePoly(p, (1,))
 
     @staticmethod

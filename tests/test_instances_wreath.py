@@ -428,8 +428,12 @@ def test_core_suite_checks_the_same_work(core_run):
 def test_pooled_values_of_F_are_one_object_per_value(core_run):
     inst, _ = core_run
     values = [v for parts in inst._f_values.values() for v in parts]
-    assert len({id(v) for v in values}) == len(set(values)) == len(inst._value_pool)
+    assert len({id(v) for v in values}) == len(set(values))
     assert all(inst._value_pool[v] is v for v in values)
+    # the one pool holds the values of F and the a-parts of the stored
+    # elements, which `share` draws from it, and nothing else
+    assert inst._value_pool.keys() == set(values) | {e.r for e in inst._intern_pool}
+    assert all(inst._value_pool[e.r] is e.r for e in inst._intern_pool)
     # every state a decomposition produced holds a pooled value
     for dec in inst._decomp_cache.values():
         assert all(inst._value_pool.get(s.r) is s.r for s in dec.states)
