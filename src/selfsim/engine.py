@@ -514,15 +514,15 @@ def transversal_validate(inst: Instance, sample=()) -> bool:
     """Check that t_0 lies in the subgroup, that each t_i lies in exactly
     the coset H t_i (so the cosets are pairwise distinct) and has
     coset_index i, and that each sample element lies in exactly the coset
-    its coset_index names."""
-    ts = inst.transversal
+    its coset_index names and has g * invert(g) equal to the identity."""
+    ts, sample = inst.transversal, tuple(sample)
     if len(ts) != inst.degree or not inst.h_member(ts[0]):
         return False
-    for i, g in enumerate(ts + tuple(sample)):
+    for i, g in enumerate(ts + sample):
         j = inst.coset_index(g)
         if (i < len(ts) and j != i) or list(inst.coset_hits(g)) != [j]:
             return False
-    return True
+    return all(inst.multiply(g, inst.invert(g)) == inst.identity() for g in sample)
 
 
 def transitivity_check(inst: Instance, gens) -> bool:

@@ -31,8 +31,8 @@ class InstanceConfigError(ValueError):
 # bounds the wreath rank d, the length of every element's exponent vectors.
 MAX_DEGREE = 4096
 
-# The largest affine dimension n: an affine literal's matrix determinant
-# is a Laplace expansion of n! terms.
+# The largest affine dimension n: it bounds the O(n^3) polynomial products
+# of an affine literal's determinant and of every matrix inverse.
 MAX_AFFINE_DIM = 8
 
 # The largest length of an element expression, the sum of |exponent| over

@@ -72,7 +72,7 @@ class AffineInstance(Instance):
         if any(rows[i][j].eval(1) for i in range(n) for j in range(i + 1, n)):
             raise InstanceConfigError("entry above the diagonal is not divisible by x-1")
         # b(1) is now lower triangular, so det(b)(1) is the product of the
-        # b_ii(1): a zero among them refuses b before its n!-term determinant
+        # b_ii(1): a zero among them refuses b before its determinant
         if not all(rows[i][i].eval(1) for i in range(n)) or b.det().degree != 0:
             raise InstanceConfigError("matrix is not invertible over F_p[x]")
         return AffineElem(v, b)

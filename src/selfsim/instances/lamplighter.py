@@ -140,7 +140,7 @@ class LampInstance(Instance):
             num = pool.setdefault(g.r.num, g.r.num)
             r = g.r if num is g.r.num else SFraction(self.ring, num, g.r.den, _canonical=True)
             pool[r] = r
-        return g if r is g.r else g._replace(r=r)
+        return g if r is g.r else tuple.__new__(LampElem, (r, g.q))
 
     def _w(self, q) -> tuple:
         """The numerator and denominator of W = (1 - phi(q)^{-1}) / (x-1),

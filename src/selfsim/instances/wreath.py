@@ -234,7 +234,7 @@ class WreathInstance(Instance):
         """g with its a-part from the value pool; q and y are pooled
         vectors already."""
         r = self._value_pool.setdefault(g.r, g.r)
-        return g if r is g.r else g._replace(r=r)
+        return g if r is g.r else tuple.__new__(WreathElem, (r, g.q, g.y))
 
     def _parts(self, r) -> tuple:
         """The p*nk values F(x_1^{-j} g(x_1)^{-k} r), at index j*nk + k,

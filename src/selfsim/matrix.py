@@ -9,7 +9,8 @@ instance families:
   modulo scalars by their adjugate (``tri_inverse``);
 * square matrices over F_p[x] (``PolyMat``) acting on columns given as
   tuples of polynomials, for the affine family, with the shift-style
-  conjugation by the companion matrix A computed in closed form.
+  conjugation by the companion matrix A computed in closed form, and the
+  determinant and inverse by one fraction-free elimination (Bareiss 1968).
 
 In closed form, conjugation by A permutes entries cyclically and moves a
 single factor of (x-1) in and out of the last row/column:
@@ -156,26 +157,19 @@ class PolyMat(_SquareMat):
         return tuple(sum_of_products(self.p, zip(row, v)) for row in self.rows)
 
     def det(self) -> DensePoly:
-        """Determinant by Laplace expansion (desk-scale sizes)."""
-        return _laplace_det(self.p, self.rows, tuple(range(self.size)))
+        """Determinant by fraction-free elimination (`_eliminate`)."""
+        return _eliminate(self.p, [list(row) for row in self.rows])
 
     def inverse_gl(self) -> "PolyMat":
-        """Inverse when the determinant is a nonzero constant."""
-        d = self.det()
+        """Inverse when the determinant is a nonzero constant: [B | I]
+        eliminates to [d I | d B^{-1}], d = det(B), scaled by 1/d."""
+        n, p = self.size, self.p
+        rows = [list(a + b) for a, b in zip(self.rows, PolyMat.identity(p, n).rows)]
+        d = _eliminate(p, rows)
         if d.degree != 0:
             raise NotInvertible("determinant is not a nonzero constant")
-        dinv = pow(d.lead, self.p - 2, self.p)
-        n = self.size
-        if n == 1:
-            return PolyMat._raw(self.p, [[DensePoly.constant(self.p, dinv)]])
-        out = [[None] * n for _ in range(n)]
-        idx = tuple(range(n))
-        for i in range(n):
-            rows = self.rows[:i] + self.rows[i + 1 :]
-            for j in range(n):
-                minor = _laplace_det(self.p, rows, idx[:j] + idx[j + 1 :])
-                out[j][i] = minor.mul_scalar(dinv if (i + j) % 2 == 0 else -dinv % self.p)
-        return PolyMat._raw(self.p, out)
+        dinv = pow(d.lead, p - 2, p)
+        return PolyMat._raw(p, [[e.mul_scalar(dinv) for e in row[n:]] for row in rows])
 
     @staticmethod
     def from_json(p: int, data) -> "PolyMat":
@@ -183,18 +177,29 @@ class PolyMat(_SquareMat):
         return PolyMat(p, [[DensePoly.from_json(p, e) for e in row] for row in data])
 
 
-def _laplace_det(p: int, rows, cols) -> DensePoly:
-    """Determinant of the square submatrix on the given rows and columns,
-    expanded along its first row."""
-    if len(cols) == 1:
-        return rows[0][cols[0]]
-    acc = DensePoly.zero(p)
-    for k, c in enumerate(cols):
-        top = rows[0][c]
-        if not top.is_zero:
-            term = top * _laplace_det(p, rows[1:], cols[:k] + cols[k + 1 :])
-            acc = acc - term if k % 2 else acc + term
-    return acc
+def _eliminate(p: int, rows: list) -> DensePoly:
+    """Bareiss's fraction-free Gauss-Jordan elimination of the leading n x n
+    block of n rows, in place: step k sets a_ij = (a_kk a_ij - a_ik a_kj) / d
+    for i != k < j, d the previous pivot, a division that is exact.  A zero
+    pivot swaps in a later row and negates the displaced one.  Returns the
+    last pivot, det of the block (zero if singular); the columns after the
+    block then hold it times the block's inverse applied to them."""
+    n, one, prev = len(rows), DensePoly.one(p), DensePoly.one(p)
+    for k in range(n):
+        r = next((i for i in range(k, n) if not rows[i][k].is_zero), None)
+        if r is None:
+            return DensePoly.zero(p)
+        if r != k:
+            rows[k], rows[r] = rows[r], [-e for e in rows[k]]
+        top, piv = rows[k], rows[k][k]
+        for row in rows:
+            m = row[k]
+            if row is top or (m.is_zero and piv == prev):
+                continue
+            new = [piv * a - m * b for a, b in zip(row[k + 1 :], top[k + 1 :])]
+            row[k + 1 :] = new if prev == one else [divmod(e, prev)[0] for e in new]
+        prev = piv
+    return prev
 
 
 def rho(c) -> int | float:

@@ -74,6 +74,25 @@ def _sample_elements(inst, rng, count):
     return [inst.random_element(rng) for _ in range(count)]
 
 
+def _endo_homomorphism(inst, rng, pairs: int) -> bool:
+    """Whether f(ab) = f(a) f(b), a and b checked in H first, on random pairs."""
+    for _ in range(pairs):
+        a, b = inst.random_h_element(rng), inst.random_h_element(rng)
+        if not (inst.h_member(a) and inst.h_member(b)):
+            return False
+        if inst.endo_f(inst.multiply(a, b)) != inst.multiply(inst.endo_f(a), inst.endo_f(b)):
+            return False
+    return True
+
+
+def _coset_formula_matches_search(inst, rng, count: int, length: int) -> bool:
+    """Whether coset_index agrees with the search on random words of a length."""
+    return all(
+        inst.coset_index(g) == inst.coset_index_exhaustive(g)
+        for g in (inst.random_element(rng, length) for _ in range(count))
+    )
+
+
 def core_suite(inst, rng) -> list[CheckResult]:
     out = []
     pairs, depth = 100, 4
@@ -111,18 +130,7 @@ def core_suite(inst, rng) -> list[CheckResult]:
     out.append(
         CheckResult("transitive_on_level_one", engine.transitivity_check(inst, gens), "")
     )
-    ok = True
-    for _ in range(30):
-        a = inst.random_h_element(rng)
-        b = inst.random_h_element(rng)
-        if not (inst.h_member(a) and inst.h_member(b)):
-            ok = False
-            break
-        if inst.endo_f(inst.multiply(a, b)) != inst.multiply(
-            inst.endo_f(a), inst.endo_f(b)
-        ):
-            ok = False
-            break
+    ok = _endo_homomorphism(inst, rng, 30)
     out.append(CheckResult("endo_homomorphism_on_h", ok, "30 random subgroup pairs"))
     return out
 
@@ -146,10 +154,7 @@ def borel_suite(inst, rng) -> list[CheckResult]:
             ok = ok and good
     out.append(CheckResult("bounded_degree_state_closure", ok, " ".join(detail)))
     out.append(CheckResult("superdiagonal_generators_trivial_states", inst.u_states_trivial_check(), ""))
-    ok = all(
-        inst.coset_index(g) == inst.coset_index_exhaustive(g)
-        for g in (inst.random_element(rng, 4) for _ in range(50))
-    )
+    ok = _coset_formula_matches_search(inst, rng, 50, 4)
     out.append(CheckResult("coset_reduction_matches_search", ok, "50 random elements"))
     return out
 
@@ -179,10 +184,7 @@ def affine_suite(inst, rng) -> list[CheckResult]:
             f"{len(sample)} sample elements at bound 1",
         )
     )
-    ok = all(
-        inst.coset_index(g) == inst.coset_index_exhaustive(g)
-        for g in (inst.random_element(rng, 5) for _ in range(500))
-    )
+    ok = _coset_formula_matches_search(inst, rng, 500, 5)
     out.append(CheckResult("coset_formula_matches_search", ok, "500 random elements"))
     return out
 
@@ -240,15 +242,7 @@ def lamplighter_suite(inst, rng) -> list[CheckResult]:
 
 def wreath_suite(inst, rng) -> list[CheckResult]:
     out = []
-    ok = True
-    for _ in range(200):
-        a = inst.random_h_element(rng)
-        b = inst.random_h_element(rng)
-        if inst.endo_f(inst.multiply(a, b)) != inst.multiply(
-            inst.endo_f(a), inst.endo_f(b)
-        ):
-            ok = False
-            break
+    ok = _endo_homomorphism(inst, rng, 200)
     out.append(CheckResult("endo_homomorphism", ok, "200 random subgroup pairs"))
     if inst.localized:
         ok = True

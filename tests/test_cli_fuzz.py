@@ -2,9 +2,10 @@
 
 Arbitrary config files and arbitrary expressions on the shipped configs
 must each end in a documented exit code (0/1/2/3) with at most one line
-on stderr and no warning, and no exception may escape `main`.  Examples
-are drawn deterministically (`derandomize=True`) and their number is
-bounded.
+on stderr and no warning, and no exception may escape `main`; well-formed
+dense affine literals on an n = 8 config end in 0, or in 3 with one line.
+Examples are drawn deterministically (`derandomize=True`) and their number
+is bounded.
 """
 
 import functools
@@ -20,6 +21,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from selfsim.cli import main  # noqa: E402
 from selfsim.instances import InstanceConfigError, load_config  # noqa: E402
+from selfsim.matrix import PolyMat  # noqa: E402
+from selfsim.ring import DensePoly  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(str(path) for path in CONFIGS.glob("*.json"))
@@ -115,6 +118,7 @@ def _run(capsys, argv):
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1
     event(f"exit {code}")
+    return code, err
 
 
 @FUZZ
@@ -131,3 +135,42 @@ def test_fuzzed_expression_ends_in_an_exit_code(capsys, config_and_expr, options
     config, expr = config_and_expr
     command, *rest = options
     _run(capsys, [command, config, expr, *rest])
+
+
+@st.composite
+def dense_affine_literals(draw):
+    """(p, literal) for an n = 8 affine config: a square b of size up to 8
+    with entries of degree up to 8, drawn as it is (refused by the x-1
+    test, or by the size), with the entries above the diagonal made
+    multiples of x-1 (refused by the determinant unless it is a unit), or a
+    product of a lower and an upper unitriangular factor, which is in the
+    group."""
+    p = draw(st.sampled_from([2, 3]))
+    k = draw(st.just(8) | st.integers(1, 8))
+    zero, one, x1 = DensePoly.zero(p), DensePoly.one(p), DensePoly(p, (-1, 1))
+
+    def poly(degree):
+        # one draw per entry: the base-p digits of an integer below p^(degree+1)
+        v = draw(st.integers(0, p ** (degree + 1) - 1))
+        return DensePoly(p, [v // p**i % p for i in range(degree + 1)])
+
+    shape = draw(st.sampled_from(["drawn", "x-1 above", "unitriangular product"]))
+    if shape == "unitriangular product":
+        lower = PolyMat(p, [[poly(4) if j < i else one if j == i else zero for j in range(k)] for i in range(k)])
+        upper = PolyMat(p, [[x1 * poly(3) if j > i else one if j == i else zero for j in range(k)] for i in range(k)])
+        b = lower * upper
+    else:
+        b = PolyMat(p, [[x1 * poly(7) if j > i and shape == "x-1 above" else poly(8) for j in range(k)]
+                        for i in range(k)])
+    return p, json.dumps({"b": [[e.to_json() for e in row] for row in b.rows]})
+
+
+@FUZZ
+@given(literal=dense_affine_literals())
+def test_fuzzed_dense_affine_literal_ends_in_exit_0_or_3(tmp_path, capsys, literal):
+    p, text = literal
+    config = tmp_path / "affine.json"
+    config.write_text(json.dumps({"family": "affine", "p": p, "n": 8}))
+    code, err = _run(capsys, ["decompose", str(config), text])
+    assert (code, err.count("\n")) in ((0, 0), (3, 1))
+    event(err.split(":")[-1].strip() if code else "decomposed")

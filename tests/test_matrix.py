@@ -1,10 +1,12 @@
 """Tests for triangular/polynomial matrices, including the closed-form
-conjugation checked against a naive rational-matrix oracle."""
+conjugation checked against a naive rational-matrix oracle, and the
+fraction-free determinant and inverse checked against Laplace expansion."""
 
 import random
 
 import pytest
 
+from selfsim.instances.affine import AffineInstance
 from selfsim.matrix import (
     PolyMat,
     TriMat,
@@ -19,6 +21,10 @@ from selfsim.ring import (
     NotDivisible,
     NotInvertible,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 def P(p, *coeffs):
@@ -357,3 +363,131 @@ def test_trimat_and_polymat_never_compare_equal():
             assert t != m and m != t
             assert (type(t), type(m)) == (TriMat, PolyMat)
             assert repr(t).startswith("TriMat(") and repr(m).startswith("PolyMat(")
+
+
+def _laplace_det(p: int, rows, cols) -> DensePoly:
+    """The oracle: determinant of the square submatrix on the given rows
+    and columns, expanded along its first row (n! products)."""
+    if len(cols) == 1:
+        return rows[0][cols[0]]
+    acc = DensePoly.zero(p)
+    for k, c in enumerate(cols):
+        top = rows[0][c]
+        if not top.is_zero:
+            term = top * _laplace_det(p, rows[1:], cols[:k] + cols[k + 1 :])
+            acc = acc - term if k % 2 else acc + term
+    return acc
+
+
+def _laplace_inverse(m: PolyMat) -> PolyMat:
+    """The oracle: the adjugate of signed Laplace minors over the
+    determinant, which must be a nonzero constant."""
+    p, n = m.p, m.size
+    d = _laplace_det(p, m.rows, tuple(range(n)))
+    assert d.degree == 0
+    dinv = pow(d.lead, p - 2, p)
+    if n == 1:
+        return PolyMat(p, [[DensePoly.constant(p, dinv)]])
+    idx = tuple(range(n))
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows = m.rows[:i] + m.rows[i + 1 :]
+        for j in range(n):
+            minor = _laplace_det(p, rows, idx[:j] + idx[j + 1 :])
+            out[j][i] = minor.mul_scalar(dinv if (i + j) % 2 == 0 else -dinv)
+    return PolyMat(p, out)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices over F_p[x], p in {2, 3, 5} and n <= 5, of four
+    shapes: any entries (small, often zero); a zero (0, 0) entry, which
+    forces a row swap; a row that is a multiple of another (singular);
+    and a unimodular matrix, the identity under random row operations
+    (adding a multiple of a row, swapping two, scaling by a unit)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    poly = st.lists(st.integers(0, p - 1), max_size=4).map(lambda c: DensePoly(p, c))
+    shape = draw(st.sampled_from(["any", "zero corner", "singular", "unimodular"]))
+    if shape == "unimodular":
+        rows = [list(row) for row in PolyMat.identity(p, n).rows]
+        for _ in range(draw(st.integers(0, 3 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            op = draw(st.sampled_from(["add", "swap", "scale"]))
+            if op == "add" and i != j:
+                f = draw(poly)
+                rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+            elif op == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                c = draw(st.integers(1, p - 1))
+                rows[i] = [a.mul_scalar(c) for a in rows[i]]
+        return PolyMat(p, rows)
+    rows = [[draw(poly) for _ in range(n)] for _ in range(n)]
+    if shape == "zero corner":
+        rows[0][0] = DensePoly.zero(p)
+    elif shape == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        f = draw(poly)
+        rows[i] = [f * b for b in rows[j]] if i != j else [DensePoly.zero(p)] * n
+    return PolyMat(p, rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_match_the_laplace_oracle(m):
+    p, n = m.p, m.size
+    d = _laplace_det(p, m.rows, tuple(range(n)))
+    assert m.det() == d
+    if d.degree == 0:
+        inv = m.inverse_gl()
+        assert inv == _laplace_inverse(m)
+        assert m * inv == PolyMat.identity(p, n) == inv * m
+    else:
+        with pytest.raises(NotInvertible, match="determinant is not a nonzero constant"):
+            m.inverse_gl()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inverse_of_products_of_affine_generators_at_n_8(p):
+    # words in the matrix generators of the n = 8 affine family, whose
+    # inverse is known to exist; the inverse is checked on both sides
+    rng = random.Random(97)
+    inst = AffineInstance(p, 8)
+    gens = [g.b for name, g in inst.generators().items() if name[0] in "abd"]
+    ident = PolyMat.identity(p, 8)
+    for _ in range(6):
+        b = ident
+        for _ in range(rng.randrange(4, 24)):
+            b = b * rng.choice(gens)
+        inv = b.inverse_gl()
+        assert b * inv == ident == inv * b
+        assert b.det().degree == 0
+
+
+def test_inverse_makes_cubically_many_products(monkeypatch):
+    # one dense 8 x 8 inverse takes at most 4 n^3 polynomial products,
+    # where the determinant alone took about 8! by Laplace expansion
+    rng = random.Random(101)
+    p, n = 3, 8
+    zero, one, pivot = DensePoly.zero(p), DensePoly.one(p), DensePoly(p, (-1, 1))
+
+    def entry():
+        return DensePoly(p, [rng.randrange(p) for _ in range(3)] + [1])
+
+    lower = PolyMat(p, [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)])
+    upper = PolyMat(p, [[pivot * entry() if j > i else one if j == i else zero for j in range(n)] for i in range(n)])
+    m = lower * upper
+    assert not any(e.is_zero for row in m.rows for e in row)
+    calls = []
+    mul = DensePoly.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(DensePoly, "__mul__", counting)
+    inv = m.inverse_gl()
+    monkeypatch.undo()
+    assert len(calls) <= 4 * n**3
+    assert m * inv == PolyMat.identity(p, n)

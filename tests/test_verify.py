@@ -93,6 +93,20 @@ def test_broken_coset_map_is_contract_violation():
         decompose(inst, inst.generators()["u"])
 
 
+@pytest.mark.parametrize(
+    "config",
+    ["lamplighter_p2_n2", "borel_m2_p2", "affine_n3_p2", "wreath_base_p2_d2", "wreath_localized_p2_d2"],
+)
+def test_invert_returning_its_argument_fails_the_core_suite(config):
+    # at p = 2 every transversal letter of these configs lies in the coset
+    # of its inverse, so only the product g * invert(g) on the sampled
+    # elements sees this mutant
+    inst = load_config(CONFIGS / f"{config}.json")
+    inst.invert = lambda g: g
+    results = run_suite("core", inst, seed=0)
+    assert [r.name for r in results if not r.passed] == ["transversal_valid"]
+
+
 def test_word_bijectivity_helper():
     inst = load_config(CONFIGS / "lamplighter_p2_n2.json")
     rng = random.Random(0)
