@@ -161,8 +161,8 @@ class PolyMat(_SquareMat):
         return _eliminate(self.p, [list(row) for row in self.rows])
 
     def inverse_gl(self) -> "PolyMat":
-        """Inverse when the determinant is a nonzero constant: [B | I]
-        eliminates to [d I | d B^{-1}], d = det(B), scaled by 1/d."""
+        """Inverse when the determinant d is a nonzero constant: eliminating
+        [B | I] leaves d B^{-1} in the right block, which is scaled by 1/d."""
         n, p = self.size, self.p
         rows = [list(a + b) for a, b in zip(self.rows, PolyMat.identity(p, n).rows)]
         d = _eliminate(p, rows)
