@@ -28,7 +28,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config, parse_json
 from .engine import CapExceeded, decompose, portrait, states_bfs
@@ -54,13 +54,11 @@ class ExprError(ValueError):
     """An element expression failed to parse or evaluate."""
 
 
-@dataclass(frozen=True)
-class ElementExpr:
-    """A word of (generator name, integer exponent) pairs, or one JSON
-    literal for the matrix families."""
+class ElementExpr(namedtuple("ElementExpr", "terms literal", defaults=((), None))):
+    """A word `terms` of (generator name, integer exponent) pairs, or one
+    JSON `literal` dict for the matrix families."""
 
-    terms: tuple = ()
-    literal: dict | None = None
+    __slots__ = ()
 
     def render(self) -> str:
         if self.literal is not None:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -72,13 +72,11 @@ class NotInH(ValueError):
     """The endomorphism was applied outside its domain subgroup."""
 
 
-@dataclass(frozen=True, slots=True)
-class WreathDecomp:
+class WreathDecomp(namedtuple("WreathDecomp", "perm states")):
     """A level permutation, the pooled image tuple (sigma(0), ...,
     sigma(m-1)), together with the m subtree states."""
 
-    perm: tuple
-    states: tuple
+    __slots__ = ()
 
 
 class Instance(ABC):
@@ -332,18 +330,17 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
         # ab is the already-computed product a*b
         if memo.get((a, b), 0) >= d:
             return True
-        da = decompose(inst, a)
-        db = decompose(inst, b)
-        dab = decompose(inst, ab)
-        a_images, b_images = da.perm, db.perm
+        a_images, a_states = decompose(inst, a)
+        b_images, b_states = decompose(inst, b)
+        ab_images, ab_states = decompose(inst, ab)
         # sigma_ab must be sigma_a then sigma_b
-        if dab.perm != tuple([b_images[i] for i in a_images]):
+        if ab_images != tuple([b_images[i] for i in a_images]):
             return False
         triples = []
         for i in range(m):
-            ai = da.states[i]
-            bi = db.states[a_images[i]]
-            abi = dab.states[i]
+            ai = a_states[i]
+            bi = b_states[a_images[i]]
+            abi = ab_states[i]
             key = (ai, bi)
             expected = products.get(key)
             if expected is None:
@@ -364,12 +361,10 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
     return rec(g, h, inst.multiply(g, h), depth)
 
 
-@dataclass(frozen=True)
-class CapExceeded:
+class CapExceeded(namedtuple("CapExceeded", "visited frontier")):
     """State search left the cap before closing; a value, not a failure."""
 
-    visited: int
-    frontier: int
+    __slots__ = ()
 
 
 # the keys of an automaton document, in constructor order

@@ -65,10 +65,9 @@ class AffineInstance(Instance):
     # -- element construction -----------------------------------------------
 
     def make_element(self, v, b: PolyMat) -> AffineElem:
-        v = tuple(v)
-        if len(v) != self.n or b.size != self.n:
-            raise ValueError("dimension mismatch")
-        n, rows = self.n, b.rows
+        v, n, rows = tuple(v), self.n, b.rows
+        if len(v) != n or b.size != n:
+            raise ValueError(f"an affine element has {n} vector entries and {n} x {n} matrix entries")
         if any(rows[i][j].eval(1) for i in range(n) for j in range(i + 1, n)):
             raise InstanceConfigError("entry above the diagonal is not divisible by x-1")
         # b(1) is now lower triangular, so det(b)(1) is the product of the
@@ -80,8 +79,13 @@ class AffineInstance(Instance):
     def from_literal(self, data: dict) -> AffineElem:
         """Element from {"v": [[coeffs], ...], "b": [[[coeffs], ...], ...]}."""
         check_keys(data, {"v", "b"}, "an affine literal")
-        v = [DensePoly.from_json(self.p, c) for c in data.get("v", [[]] * self.n)]
-        b = PolyMat.from_json(self.p, data["b"]) if "b" in data else PolyMat.identity(self.p, self.n)
+        raw_v, raw_b = data.get("v", [[]] * self.n), data.get("b")
+        if not isinstance(raw_v, list):
+            raise ValueError("'v' must be a list of coefficient lists")
+        if "b" in data and not (isinstance(raw_b, list) and all(isinstance(row, list) for row in raw_b)):
+            raise ValueError("'b' must be a list of rows of coefficient lists")
+        v = [DensePoly.from_json(self.p, c) for c in raw_v]
+        b = PolyMat.identity(self.p, self.n) if raw_b is None else PolyMat.from_json(self.p, raw_b)
         return self.make_element(v, b)
 
     def share(self, g: AffineElem) -> AffineElem:

@@ -59,9 +59,9 @@ wrong residue and raises ContractViolation.  The generic
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import cached_property
 from operator import add, sub
-from typing import NamedTuple
 
 from ..engine import ContractViolation, Instance, NotInH, decompose, states_within
 from ..matrix import TriMat, sum_of_products, tri_inverse
@@ -77,12 +77,12 @@ from ..ring import (
 from . import MAX_WORD_LENGTH, InstanceConfigError
 
 
-class BorelElem(NamedTuple):
-    """The normalized representative `mat` of an element, and the exponent
-    vectors of its diagonal entries; built by `BorelInstance` only."""
+class BorelElem(namedtuple("BorelElem", "mat exps")):
+    """The normalized representative `mat` (a `TriMat`) of an element, and
+    the exponent vectors of its diagonal entries; built by `BorelInstance`
+    only."""
 
-    mat: TriMat
-    exps: tuple
+    __slots__ = ()
 
 
 def _span(p: int, const: tuple, basis: list) -> list:

@@ -247,14 +247,14 @@ class LampInstance(Instance):
             for k in range(i):
                 acc = acc + DensePoly.x(p) ** k
             expected = WreathDecomp(cycle, (self.u_power(acc),) * p)
-            if lhs.perm != expected.perm or lhs.states != expected.states:
+            if lhs != expected:
                 return False
         for lam in lambdas:
             lhs = decompose(self, self.u_power(lam))
             lt, lam1 = divmod(lam, ring.pivot)[0], lam.eval(1)
             perm = tuple((i + lam1) % p for i in range(p))
             expected = WreathDecomp(perm, (self.u_power(lt),) * p)
-            if lhs.perm != expected.perm or lhs.states != expected.states:
+            if lhs != expected:
                 return False
         return True
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import add
 
 NEG_INF = float("-inf")
@@ -763,14 +763,12 @@ def divide_exact(a: SFraction, k: int) -> SFraction:
     return SFraction(a.ring, q, a.den, _canonical=True)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of checking a (p, basis polynomials) configuration."""
+class ValidationReport(namedtuple("ValidationReport", "p problems metabelian_flags notes")):
+    """Outcome of checking a (p, basis polynomials) configuration: the
+    hard problems, the metabelian-family flags and the notes, as lists of
+    strings."""
 
-    p: int
-    problems: list[str] = field(default_factory=list)
-    metabelian_flags: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -798,44 +796,41 @@ def validate_config(p: int, polys, require_one_at_one: bool = False) -> Validati
     With require_one_at_one the metabelian-family condition f_i(1) = 1
     (i >= 1) is promoted from a flag to a hard problem.
     """
-    report = ValidationReport(p=p, notes=[ADMISSIBLE_NOTE])
-    if not is_prime(p):
-        report.problems.append(f"p = {p} is not prime")
-        return report
+    problems, flags = [], []
     polys = list(polys)
-    if not polys:
-        report.problems.append("empty polynomial basis")
-        return report
-    x = DensePoly.x(p)
-    x_minus_1 = DensePoly(p, (-1, 1))
-    if polys[0] != x:
-        report.problems.append("first basis polynomial must be x")
-    for i, f in enumerate(polys):
-        name = f"f_{i} = {f.render()}"
-        if not f.is_monic:
-            report.problems.append(f"{name} is not monic")
-            continue
-        if f == x_minus_1:
-            report.problems.append(f"{name} equals x-1")
-            continue
-        if not f.is_irreducible():
-            report.problems.append(f"{name} is not irreducible")
-        if f.eval(1) == 0:
-            report.problems.append(f"{name} vanishes at 1")
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if polys[i] == polys[j]:
-                report.problems.append(
-                    f"f_{i} and f_{j} coincide ({polys[i].render()})"
-                )
-    for i, f in enumerate(polys[1:], start=1):
-        v = f.eval(1)
-        if v != 1:
-            msg = f"f_{i}(1) = {v} != 1"
-            report.metabelian_flags.append(msg)
-            if require_one_at_one:
-                report.problems.append(msg + " (required for the metabelian family)")
-    return report
+    if not is_prime(p):
+        problems.append(f"p = {p} is not prime")
+    elif not polys:
+        problems.append("empty polynomial basis")
+    else:
+        x = DensePoly.x(p)
+        x_minus_1 = DensePoly(p, (-1, 1))
+        if polys[0] != x:
+            problems.append("first basis polynomial must be x")
+        for i, f in enumerate(polys):
+            name = f"f_{i} = {f.render()}"
+            if not f.is_monic:
+                problems.append(f"{name} is not monic")
+                continue
+            if f == x_minus_1:
+                problems.append(f"{name} equals x-1")
+                continue
+            if not f.is_irreducible():
+                problems.append(f"{name} is not irreducible")
+            if f.eval(1) == 0:
+                problems.append(f"{name} vanishes at 1")
+        for i in range(len(polys)):
+            for j in range(i + 1, len(polys)):
+                if polys[i] == polys[j]:
+                    problems.append(f"f_{i} and f_{j} coincide ({polys[i].render()})")
+        for i, f in enumerate(polys[1:], start=1):
+            v = f.eval(1)
+            if v != 1:
+                msg = f"f_{i}(1) = {v} != 1"
+                flags.append(msg)
+                if require_one_at_one:
+                    problems.append(msg + " (required for the metabelian family)")
+    return ValidationReport(p, problems, flags, [ADMISSIBLE_NOTE])
 
 
 # ---------------------------------------------------------------------------

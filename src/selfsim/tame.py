@@ -35,7 +35,6 @@ not compute generic invariants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,52 +42,6 @@ WREATH_TAMENESS_NOTE = (
     "the localized wreath-family module is never 3-tame, so those groups "
     "are never of homological type FP_3"
 )
-
-
-Character = tuple  # nonzero tuple of Fractions
-
-
-def character(values) -> Character:
-    vec = tuple(Fraction(v) for v in values)
-    if not vec or all(v == 0 for v in vec):
-        raise ValueError("characters must be nonzero vectors")
-    return vec
-
-
-@dataclass(frozen=True)
-class SigmaCSet:
-    """A list of pairwise non-proportional (as rays) characters."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(character(v) for v in self.points)
-        object.__setattr__(self, "points", pts)
-        dims = {len(v) for v in pts}
-        if len(dims) > 1:
-            raise ValueError("characters of mixed dimension")
-        for a, b in combinations(pts, 2):
-            if _positively_proportional(a, b):
-                raise ValueError("characters must represent distinct rays")
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _positively_proportional(a, b) -> bool:
-    ratio = None
-    for x, y in zip(a, b):
-        if (x == 0) != (y == 0):
-            return False
-        if x != 0:
-            r = y / x
-            if r <= 0 or (ratio is not None and r != ratio):
-                return False
-            ratio = r
-    return True
 
 
 def _fourier_motzkin(ineqs: list[tuple[tuple, Fraction]], nvars: int) -> bool:
@@ -178,15 +131,17 @@ def tame_degree(points, max_m: int) -> int:
     return max_m
 
 
-def sigma_c_for_lamp(instance) -> SigmaCSet:
+def sigma_c_for_lamp(instance) -> tuple:
     """The complement character set of the metabelian family: the n
-    coordinate characters together with (-deg f_0, ..., -deg f_{n-1})."""
+    coordinate characters together with (-deg f_0, ..., -deg f_{n-1}),
+    as a tuple of tuples of Fractions (pairwise distinct rays, none zero,
+    by construction)."""
     n = instance.n
     pts = []
     for i in range(n):
         pts.append(tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)))
     pts.append(tuple(Fraction(-int(f.degree)) for f in instance.ring.polys))
-    return SigmaCSet(tuple(pts))
+    return tuple(pts)
 
 
 def finiteness_report(instance) -> dict:

@@ -18,21 +18,20 @@ tameness degrees for the finiteness reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import engine
 from .engine import CapExceeded, decompose, states_bfs
 from .ring import DensePoly
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed details", defaults=("",))):
+    """One named check of a suite: whether it passed, and a short note."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return self._asdict()
 
 
 def _image_codes(inst, g, level: int, code: int = 0):
@@ -191,7 +190,6 @@ def affine_suite(inst, rng) -> list[CheckResult]:
 
 def lamplighter_suite(inst, rng) -> list[CheckResult]:
     out = []
-    ok = True
     gens = inst.generators()
     shapes = [gens["u"], inst.invert(gens["u"])]
     for j in range(inst.n):
@@ -202,12 +200,7 @@ def lamplighter_suite(inst, rng) -> list[CheckResult]:
                 inst.p, [rng.randrange(inst.p) for _ in range(rng.randrange(5))]
             )
             shapes.append(inst.multiply(inst.u_power(lam), inst.invert(xj)))
-    for g in shapes:
-        cf = inst.closed_form_decompose(g)
-        eng = decompose(inst, g)
-        if cf.perm != eng.perm or cf.states != eng.states:
-            ok = False
-            break
+    ok = all(inst.closed_form_decompose(g) == decompose(inst, g) for g in shapes)
     out.append(CheckResult("closed_form_decompositions", ok, f"{len(shapes)} shapes"))
     lambdas = [
         DensePoly(inst.p, [rng.randrange(inst.p) for _ in range(rng.randrange(6))])
@@ -291,7 +284,7 @@ def tame_suite(inst, rng) -> list[CheckResult]:
     )
     from fractions import Fraction
 
-    pts = list(sigma.points)
+    pts = list(sigma)
     ok = True
     for _ in range(5):
         scaled = [

@@ -333,6 +333,30 @@ def test_decompose_literal_non_integer_one_line_error(capsys, config, literal):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "literal, shape",
+    [
+        ('{"b": 5}', "'b' must be a list of rows of coefficient lists"),
+        ('{"b": null}', "'b' must be a list of rows of coefficient lists"),
+        ('{"b": [5, 5, 5]}', "'b' must be a list of rows of coefficient lists"),
+        ('{"b": {"a": [1]}}', "'b' must be a list of rows of coefficient lists"),
+        ('{"v": null}', "'v' must be a list of coefficient lists"),
+        ('{"v": 5}', "'v' must be a list of coefficient lists"),
+        ('{"v": {"a": [1]}}', "'v' must be a list of coefficient lists"),
+        ('{"v": [[1]]}', "an affine element has 3 vector entries and 3 x 3 matrix entries"),
+        ('{"b": [[[1], []], [[], [1]]]}', "an affine element has 3 vector entries and 3 x 3 matrix entries"),
+    ],
+    ids=["scalar-b", "null-b", "flat-b", "object-b", "null-v", "scalar-v", "object-v", "short-v", "small-b"],
+)
+def test_decompose_affine_literal_shape_one_line_error(capsys, literal, shape):
+    # the message names the expected shape, not Python's own error text
+    code, out, err = run(capsys, "decompose", str(CONFIGS / "affine_n3_p2.json"), literal)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert f"bad literal: {shape}" in err
+
+
 A_LONG = "[" + ",".join(["1"] * 20000) + "]"
 
 
