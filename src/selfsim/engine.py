@@ -35,7 +35,8 @@ only, `_prule_cache` and `_product_cache` pairs of elements only, and
 
 Decompositions are pure and memoized per instance, in five dicts that
 live as long as the instance.  `_decomp_cache` maps g to its
-decomposition.  A level permutation sigma is its image tuple
+decomposition, one flat tuple (perm, s_0, ..., s_{m-1}).  A level
+permutation sigma is its image tuple
 (sigma(0), ..., sigma(m-1)), and `_perm_pool` maps an image tuple to the
 one pooled tuple that every decomposition with those level images holds
 as its `perm`; a tuple is checked to be a bijection on first sight, and
@@ -47,11 +48,13 @@ any field is compared.  An element enters the pool as `share(x)`, which
 a family overrides to rebuild x from ring values pooled once per
 instance (its `_value_pool`), so the insides of stored elements are one
 object per value too; `share` runs on pool misses only, and
-temporaries never pay for it.  `_prule_cache` maps a verified pair
-(a, b) to the depth it was verified to.  `_product_cache` maps an
-operand pair (a_i, b_j) of `product_rule_check` to the interned state
-its product was verified against, written once, so a known product is
-not recomputed; the comparison at each node still runs.  Breadth-first
+temporaries never pay for it.  `_product_cache` maps an operand pair
+(a_i, b_j) of `product_rule_check` to the interned state its product was
+verified against, written once, so a known product is not recomputed;
+the comparison at each node still runs.  `_prule_cache` maps a verified
+pair (a, b) to the depth it was verified to, keyed by the tuple that
+the parent node built for the product map, so the two maps share one
+key object per pair.  Breadth-first
 searches visit canonical elements in discovery order, so all outputs
 are deterministic.
 """
@@ -62,6 +65,7 @@ import json
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 
 class ContractViolation(RuntimeError):
@@ -72,11 +76,22 @@ class NotInH(ValueError):
     """The endomorphism was applied outside its domain subgroup."""
 
 
-class WreathDecomp(namedtuple("WreathDecomp", "perm states")):
-    """A level permutation, the pooled image tuple (sigma(0), ...,
-    sigma(m-1)), together with the m subtree states."""
+class WreathDecomp(tuple):
+    """The flat tuple (perm, s_0, ..., s_{m-1}): a level permutation, the
+    pooled image tuple (sigma(0), ..., sigma(m-1)), then the m subtree
+    states.  Built as WreathDecomp(perm, states); `perm` is item 0 and
+    `states` the rest."""
 
     __slots__ = ()
+
+    def __new__(cls, perm, states):
+        return tuple.__new__(cls, (perm, *states))
+
+    perm = property(itemgetter(0))
+
+    @property
+    def states(self) -> tuple:
+        return self[1:]
 
 
 class Instance(ABC):
@@ -278,7 +293,7 @@ def decompose(inst: Instance, g) -> WreathDecomp:
             raise ContractViolation(f"not a bijection: {images}")
         perm = perms[images] = images
     pool = inst._intern_pool
-    dec = WreathDecomp(perm, tuple([pool.get(s) or _interned(inst, pool, s) for s in states]))
+    dec = WreathDecomp(perm, [pool.get(s) or _interned(inst, pool, s) for s in states])
     cache[pool.get(g) or _interned(inst, pool, g)] = dec
     return dec
 
@@ -297,8 +312,8 @@ def act_on_word(inst: Instance, g, word) -> tuple:
     cur = g
     for letter in word:
         dec = decompose(inst, cur)
-        out.append(dec.perm[letter])
-        cur = dec.states[letter]
+        out.append(dec[0][letter])
+        cur = dec[letter + 1]
     return tuple(out)
 
 
@@ -322,43 +337,42 @@ def product_rule_check(inst: Instance, g, h, depth: int) -> bool:
     state product a_i * b_j already verified at some node is read from the
     product map instead of recomputed, and compared all the same.
     """
-    m = inst.degree
     memo: dict = inst._prule_cache
     products: dict = inst._product_cache
 
-    def rec(a, b, ab, d) -> bool:
-        # ab is the already-computed product a*b
-        if memo.get((a, b), 0) >= d:
+    def rec(pair, ab, d) -> bool:
+        # pair is (a, b), below the root the very tuple the parent built
+        # as its product-map key; ab is the already-computed product a*b
+        if memo.get(pair, 0) >= d:
             return True
-        a_images, a_states = decompose(inst, a)
-        b_images, b_states = decompose(inst, b)
-        ab_images, ab_states = decompose(inst, ab)
+        a_dec = decompose(inst, pair[0])
+        b_dec = decompose(inst, pair[1])
+        ab_dec = decompose(inst, ab)
+        a_perm = a_dec[0]
         # sigma_ab must be sigma_a then sigma_b
-        if ab_images != tuple([b_images[i] for i in a_images]):
+        if ab_dec[0] != tuple([b_dec[0][i] for i in a_perm]):
             return False
-        triples = []
-        for i in range(m):
-            ai = a_states[i]
-            bi = b_states[a_images[i]]
-            abi = ab_states[i]
-            key = (ai, bi)
+        pairs = []
+        for i, j in enumerate(a_perm, 1):
+            key = (a_dec[i], b_dec[j + 1])
+            abi = ab_dec[i]
             expected = products.get(key)
             if expected is None:
-                if abi != inst.multiply(ai, bi):
+                if abi != inst.multiply(*key):
                     return False
                 # the interned state, so the map holds no element of its own
                 products[key] = abi
             elif abi != expected:
                 return False
-            triples.append((ai, bi, abi))
-        memo[(a, b)] = d
+            pairs.append(key)
+        memo[pair] = d
         if d > 1:
-            for a2, b2, ab2 in triples:
-                if not rec(a2, b2, ab2, d - 1):
+            for i, key in enumerate(pairs, 1):
+                if not rec(key, ab_dec[i], d - 1):
                     return False
         return True
 
-    return rec(g, h, inst.multiply(g, h), depth)
+    return rec((g, h), inst.multiply(g, h), depth)
 
 
 class CapExceeded(namedtuple("CapExceeded", "visited frontier")):

@@ -15,6 +15,7 @@ from selfsim.engine import (
     Instance,
     MealyAutomaton,
     NotInH,
+    WreathDecomp,
     act_on_word,
     decompose,
     faithfulness_probe,
@@ -666,6 +667,19 @@ def test_decompose_interns_equal_elements(config):
     for (a, b), ab in inst._product_cache.items():
         assert pool[a] is a and pool[b] is b and pool[ab] is ab
         assert ab == inst.multiply(a, b)
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_decompositions_are_flat_tuples(config):
+    # one tuple (perm, s_0, ..., s_{m-1}) per decomposition; perm and
+    # states read it, and the (perm, states) constructor rebuilds it
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(83)
+    for g in [inst.identity()] + [inst.random_element(rng) for _ in range(3)]:
+        dec = decompose(inst, g)
+        assert type(dec) is WreathDecomp and len(dec) == inst.degree + 1
+        assert dec.perm is dec[0] and dec.states == dec[1:]
+        assert WreathDecomp(dec.perm, dec.states) == dec
 
 
 @pytest.mark.parametrize("config", FAMILY_CONFIGS)

@@ -4,12 +4,15 @@ perfbench/goldens.json holds the exit code and stdout sha256 of every job
 the benchmark can run.  This replays every job of the three workloads in
 process, through `selfsim.cli.main` or the `main` of perfbench/prule.py,
 so a change to any printed byte fails here before it fails the
-benchmark.  The files are only read.
+benchmark.  Each job must also print with at most one `sys.stdout.write`:
+under PYTHONUNBUFFERED=1 every write is a system call.  The files are only
+read.
 """
 
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,9 @@ JOBS = jobs("cli_short") + jobs("univariate") + jobs("wreath")
 @pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[job[0] == "cli" :]) for job in JOBS])
 def test_job_matches_golden(job, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
+    writes = []
+    real = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real(text))
     try:
         code = RUNNERS[job[0]](list(job[1:]))
     except SystemExit as exc:  # argparse usage errors
@@ -49,6 +55,7 @@ def test_job_matches_golden(job, capsys, monkeypatch):
     expected = GOLDENS["expected"][json.dumps(list(job))]
     assert code == expected["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+    assert len(writes) <= 1
 
 
 def test_replay_covers_the_workloads():

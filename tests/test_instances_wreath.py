@@ -425,15 +425,30 @@ def test_core_suite_checks_the_same_work(core_run):
     assert sizes == (9044, 14550, 17263, 6676)
 
 
+def test_verified_pairs_reuse_the_product_map_keys(core_run):
+    # a child pair is keyed in the verified-pair memo by the very tuple its
+    # parent stored in the product map; only roots and pairs whose product
+    # was already known bring a tuple of their own
+    inst, _ = core_run
+    product_keys = {id(key) for key in inst._product_cache}
+    assert sum(id(pair) in product_keys for pair in inst._prule_cache) == 6270
+
+
 def test_pooled_values_of_F_are_one_object_per_value(core_run):
     inst, _ = core_run
     values = [v for parts in inst._f_values.values() for v in parts]
     assert len({id(v) for v in values}) == len(set(values))
     assert all(inst._value_pool[v] is v for v in values)
-    # the one pool holds the values of F and the a-parts of the stored
-    # elements, which `share` draws from it, and nothing else
-    assert inst._value_pool.keys() == set(values) | {e.r for e in inst._intern_pool}
+    # the one pool holds the values of F, the a-parts of the stored
+    # elements, which `share` draws from it, and their numerators, and
+    # nothing else
+    fractions = values + [e.r for e in inst._intern_pool]
+    assert inst._value_pool.keys() == set(fractions) | {r.num for r in fractions}
     assert all(inst._value_pool[e.r] is e.r for e in inst._intern_pool)
+    # each numerator is one object per value, the pooled one
+    nums = [r.num for r in fractions]
+    assert len({id(n) for n in nums}) == len(set(nums))
+    assert all(inst._value_pool[n] is n for n in nums)
     # every state a decomposition produced holds a pooled value
     for dec in inst._decomp_cache.values():
         assert all(inst._value_pool.get(s.r) is s.r for s in dec.states)
