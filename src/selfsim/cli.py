@@ -29,7 +29,6 @@ import json
 import re
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 
 from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config, parse_json
 from .engine import CapExceeded, decompose, portrait, states_bfs
@@ -119,70 +118,8 @@ def eval_expr(inst, expr: ElementExpr):
     return out
 
 
-class _Unhandled(Exception):
-    """A value `_dumps` leaves to json."""
-
-
-def _dumps(obj, end: str = "") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + end for an obj of
-    str-keyed dicts, lists, tuples, strs, ints, bools and None;
-    _Unhandled on anything else.  The text is joined once from a list of
-    pieces: each line break with its indent is one string per depth,
-    shared by every list at that depth, and each list of ints is one
-    piece."""
-    out = []
-    breaks = ["\n"]  # breaks[d]: a line break and the indent of depth d
-
-    def put(x, d: int) -> None:
-        kind = type(x)
-        if kind is str:
-            out.append(encode_basestring_ascii(x))
-        elif kind is int:
-            out.append(repr(x))
-        elif x is None or kind is bool:
-            out.append("null" if x is None else "true" if x else "false")
-        elif kind is not list and kind is not tuple and kind is not dict:
-            raise _Unhandled
-        elif not x:
-            out.append("{}" if kind is dict else "[]")
-        else:
-            if len(breaks) == d + 1:
-                breaks.append(breaks[d] + "  ")
-            inner = breaks[d + 1]
-            if kind is dict:
-                if not all(type(k) is str for k in x):
-                    raise _Unhandled
-                out.append("{")
-                for k in sorted(x):
-                    out.append(inner + encode_basestring_ascii(k) + ": ")
-                    put(x[k], d + 1)
-                    out.append(",")
-                out[-1] = breaks[d]  # in place of the last comma
-                out.append("}")
-            elif all(type(v) is int for v in x):
-                out.append("[" + inner + ("," + inner).join(map(repr, x)) + breaks[d] + "]")
-            else:
-                out.append("[")
-                for v in x:
-                    out.append(inner)
-                    put(v, d + 1)
-                    out.append(",")
-                out[-1] = breaks[d]
-                out.append("]")
-
-    put(obj, 0)
-    out.append(end)
-    return "".join(out)
-
-
 def _emit(obj) -> None:
-    """Print obj as indented JSON with sorted keys in one write: with
-    unbuffered output every write is a system call."""
-    try:
-        text = _dumps(obj, "\n")
-    except _Unhandled:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load(config_path: str):
@@ -255,7 +192,7 @@ def cmd_decompose(args) -> int:
     _emit(
         {
             "expr": expr.render(),
-            "perm": dec.perm,
+            "perm": list(dec.perm),
             "cycles": cycles(dec.perm),
             "states": [names[s] for s in dec.states],
         }

@@ -65,6 +65,7 @@ import json
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 
@@ -80,7 +81,8 @@ class WreathDecomp(tuple):
     """The flat tuple (perm, s_0, ..., s_{m-1}): a level permutation, the
     pooled image tuple (sigma(0), ..., sigma(m-1)), then the m subtree
     states.  Built as WreathDecomp(perm, states); `perm` is item 0 and
-    `states` the rest."""
+    `states` the rest, copied on each read, so the per-node walkers
+    index the tuple instead."""
 
     __slots__ = ()
 
@@ -323,9 +325,9 @@ def portrait(inst: Instance, g, depth: int):
     if depth < 1:
         raise ValueError("portrait depth must be >= 1")
     dec = decompose(inst, g)
-    node = [list(dec.perm)]
+    node = [list(dec[0])]
     if depth > 1:
-        node.append([portrait(inst, s, depth - 1) for s in dec.states])
+        node.append([portrait(inst, s, depth - 1) for s in islice(dec, 1, None)])
     return node
 
 
@@ -490,7 +492,7 @@ def states_bfs(inst: Instance, g, cap: int):
     while qi < len(order):
         dec = decompose(inst, order[qi])
         row_t = []
-        for i, s in enumerate(dec.states):
+        for s in islice(dec, 1, None):
             j = index.get(s)
             if j is None:
                 if len(order) >= cap:
@@ -500,7 +502,7 @@ def states_bfs(inst: Instance, g, cap: int):
                 order.append(s)
             row_t.append(j)
         transitions.append(row_t)
-        outputs.append(dec.perm)
+        outputs.append(dec[0])
         qi += 1
     return MealyAutomaton(
         inst.degree,
@@ -569,9 +571,9 @@ def faithfulness_probe(inst: Instance, g, max_depth: int):
         nxt = []
         for h in level:
             dec = decompose(inst, h)
-            if dec.perm != fixed:
+            if dec[0] != fixed:
                 return depth
-            for s in dec.states:
+            for s in islice(dec, 1, None):
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)

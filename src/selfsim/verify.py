@@ -18,6 +18,7 @@ tameness degrees for the finiteness reports.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from collections import namedtuple
 
 from . import engine
@@ -47,10 +48,10 @@ def _image_codes(inst, g, level: int, code: int = 0):
     dec = decompose(inst, g)
     code *= inst.degree
     if level == 1:
-        for b in dec.perm:
+        for b in dec[0]:
             yield code + b
         return
-    for b, s in zip(dec.perm, dec.states):
+    for b, s in zip(dec[0], islice(dec, 1, None)):
         yield from _image_codes(inst, s, level - 1, code + b)
 
 

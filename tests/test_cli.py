@@ -4,7 +4,6 @@ and the documented file formats."""
 import itertools
 import json
 import shlex
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from selfsim.cli import (
     MAX_WORD_LENGTH,
     ElementExpr,
     ExprError,
-    _emit,
     cycles,
     eval_expr,
     main,
@@ -644,33 +642,6 @@ def test_tame_unsupported_family(capsys):
     code, _, err = run(capsys, "tame", str(CONFIGS / "affine_n3_p2.json"))
     assert code == EXIT_INVALID
     assert "lamplighter" in err
-
-
-# -- JSON output -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        [],
-        {},
-        {"a": [], "b": {}, "c": [[], {}]},
-        {1: "int key", 2: [3]},
-        {"x": 1.5},
-        [0.1, -2.0],
-        {"perm": (2, 0, 1), "nested": [(0, 1), [True, None, -7]]},
-        ["é\u2028\x00\"\\"],
-    ],
-    ids=["empty list", "empty dict", "nested empties", "int keys", "float value", "float list", "tuples", "escapes"],
-)
-def test_emit_prints_the_indented_json_in_one_write(capsys, monkeypatch, obj):
-    # int keys and floats fall back to json.dumps for the whole object
-    writes = []
-    real = sys.stdout.write
-    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real(text))
-    _emit(obj)
-    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    assert len(writes) == 1
 
 
 # -- README ----------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Arbitrary config files and arbitrary expressions on the shipped configs
 must each end in a documented exit code (0/1/2/3) with at most one line
 on stderr and no warning, and no exception may escape `main`; well-formed
-dense affine literals on an n = 8 config end in 0, or in 3 with one line;
-and the CLI's one-write JSON writer prints exactly what json.dumps with
-sorted keys and indent 2 prints.
+dense affine literals on an n = 8 config end in 0, or in 3 with one line.
 Examples are drawn deterministically (`derandomize=True`) and their number
 is bounded.
 """
@@ -21,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from selfsim.cli import _dumps, main  # noqa: E402
+from selfsim.cli import main  # noqa: E402
 from selfsim.instances import InstanceConfigError, load_config  # noqa: E402
 from selfsim.matrix import PolyMat  # noqa: E402
 from selfsim.ring import DensePoly  # noqa: E402
@@ -176,20 +174,3 @@ def test_fuzzed_dense_affine_literal_ends_in_exit_0_or_3(tmp_path, capsys, liter
     code, err = _run(capsys, ["decompose", str(config), text])
     assert (code, err.count("\n")) in ((0, 0), (3, 1))
     event(err.split(":")[-1].strip() if code else "decomposed")
-
-
-# values the one-write JSON writer handles itself: str-keyed dicts, lists,
-# ints of any size and sign, bools, None, and strings with quotes,
-# backslashes, control and non-ASCII characters
-TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é\u2028\U0001f600", 'a"b\\c'])
-WRITABLE = st.recursive(
-    st.none() | st.booleans() | st.integers(-10, 10) | st.integers() | st.integers(-(2**300), 2**300) | TEXT,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
-    max_leaves=24,
-)
-
-
-@FUZZ
-@given(obj=WRITABLE)
-def test_writer_matches_json_dumps(obj):
-    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
