@@ -65,7 +65,6 @@ import json
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 
 
@@ -81,8 +80,8 @@ class WreathDecomp(tuple):
     """The flat tuple (perm, s_0, ..., s_{m-1}): a level permutation, the
     pooled image tuple (sigma(0), ..., sigma(m-1)), then the m subtree
     states.  Built as WreathDecomp(perm, states); `perm` is item 0 and
-    `states` the rest, copied on each read, so the per-node walkers
-    index the tuple instead."""
+    `states` the rest, a new tuple on each read; the per-node walkers
+    read `dec[0]` and `dec[1:]` directly."""
 
     __slots__ = ()
 
@@ -327,7 +326,7 @@ def portrait(inst: Instance, g, depth: int):
     dec = decompose(inst, g)
     node = [list(dec[0])]
     if depth > 1:
-        node.append([portrait(inst, s, depth - 1) for s in islice(dec, 1, None)])
+        node.append([portrait(inst, s, depth - 1) for s in dec[1:]])
     return node
 
 
@@ -492,7 +491,7 @@ def states_bfs(inst: Instance, g, cap: int):
     while qi < len(order):
         dec = decompose(inst, order[qi])
         row_t = []
-        for s in islice(dec, 1, None):
+        for s in dec[1:]:
             j = index.get(s)
             if j is None:
                 if len(order) >= cap:
@@ -573,7 +572,7 @@ def faithfulness_probe(inst: Instance, g, max_depth: int):
             dec = decompose(inst, h)
             if dec[0] != fixed:
                 return depth
-            for s in islice(dec, 1, None):
+            for s in dec[1:]:
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)

@@ -18,7 +18,6 @@ tameness degrees for the finiteness reports.
 from __future__ import annotations
 
 import random
-from itertools import islice
 from collections import namedtuple
 
 from . import engine
@@ -51,7 +50,7 @@ def _image_codes(inst, g, level: int, code: int = 0):
         for b in dec[0]:
             yield code + b
         return
-    for b, s in zip(dec[0], islice(dec, 1, None)):
+    for b, s in zip(dec[0], dec[1:]):
         yield from _image_codes(inst, s, level - 1, code + b)
 
 
