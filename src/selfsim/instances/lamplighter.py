@@ -12,7 +12,10 @@ With the product convention
     (r1, q1) * (r2, q2) = (r1 + r2 * phi(q1)^{-1}, q1 + q2),
     phi(q) = f_0^{q_0} * ... * f_{n-1}^{q_{n-1}},
 
-the generators decompose in closed form:
+the exponent of a product is one shift-and-add of the ring (`_add_mul`):
+r1 and r2 * phi(q1)^{-1} are put over one denominator, each numerator
+scaled at most once per basis polynomial (by a shift for f_0 = x), and
+the sum is cancelled once.  The generators decompose in closed form:
 
     u          -> trivial states, the p-cycle (0 1 ... p-1);
     x_j        -> states u^{-i (f_j^{-1} - 1)/(x-1)} x_j, trivial perm;
@@ -31,15 +34,19 @@ u^i g u^{-j} = (i + r - j phi(q)^{-1}, q) has the state
 
     ((r - c)/(x-1) + j (1 - phi(q)^{-1})/(x-1), q) = (B + j W, q),
 
-because i + c - j vanishes in F_p.  W depends on q only and is memoized;
-B and W are put over one denominator once per element, so a letter costs
-a scalar multiple, a sum and its cancellation.  The generic
-`Instance.letters` stays the oracle.
+because i + c - j vanishes in F_p.  With r = N/D, D = prod f_i^{e_i}, the
+difference r - c is (N - c D)/D and already canonical, since f_i divides
+c D but not N wherever e_i > 0; so B costs one exact division by x-1 and
+no trial division.  W depends on q only and is memoized; B and W are put
+over one denominator once per element, so a letter costs a scalar
+multiple, a sum and its cancellation.  The generic `Instance.letters`
+stays the oracle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add, neg
 
 from ..engine import ContractViolation, Instance, NotInH, WreathDecomp, decompose, states_within
 from ..ring import (
@@ -89,9 +96,10 @@ class LampInstance(Instance):
         return self._identity
 
     def multiply(self, a: LampElem, b: LampElem) -> LampElem:
-        # b.r * phi(a.q)^{-1}
-        r = a.r + b.r.mul_unit(1, tuple(-e for e in a.q))
-        return LampElem(r, tuple(x + y for x, y in zip(a.q, b.q)))
+        """(a.r + b.r * phi(a.q)^{-1}, a.q + b.q), the exponent as one
+        shift-and-add."""
+        r = a.r._add_mul(b.r, b.r.num, tuple(map(neg, a.q)))
+        return LampElem(r, tuple(map(add, a.q, b.q)))
 
     def invert(self, a: LampElem) -> LampElem:
         r = -(a.r.mul_unit(1, a.q))
@@ -116,10 +124,18 @@ class LampInstance(Instance):
     def letters(self, g: LampElem) -> tuple:
         """The closed form (B + j W, q) of the module docstring."""
         p, ring = self.p, self.ring
-        c = g.r.eval_at_one()
-        base = divide_exact(g.r - ring.constant(c), 1)
+        r, q = g
+        c = r.eval_at_one()
+        if c:
+            # r - c = (N - c D)/D, canonical as it stands
+            d = DensePoly.one(p)
+            for i, e in enumerate(r.den):
+                if e:
+                    d = ring._scale(d, i, e)
+            r = SFraction(ring, r.num - d.mul_scalar(c), r.den, _canonical=True)
+        base = divide_exact(r, 1)
         # B and W over one denominator, so that B + j W scales nothing
-        num_b, num_w, den, axes = base._join(*self._w(g.q))
+        num_b, num_w, den, axes = base._join(*self._w(q))
         images, states = [], []
         for i in range(p):
             j = self._index(i + c)
@@ -127,18 +143,21 @@ class LampInstance(Instance):
             if (i + c - j) % p:
                 raise ContractViolation(f"cofactor at letter {i} fails subgroup membership")
             images.append(j)
-            r = ring._cancel(num_b + num_w.mul_scalar(j), list(den), axes) if j else base
-            states.append(LampElem(r, g.q))
+            s = ring._cancel(num_b + num_w.mul_scalar(j), list(den), axes) if j else base
+            # q is pooled already
+            states.append(tuple.__new__(LampElem, (s, q)))
         return images, states
 
     def share(self, g: LampElem) -> LampElem:
         """g with its exponent and the exponent's numerator from the value
-        pool; q is a pooled vector already."""
+        pool; q is a pooled vector already.  An exponent new to the pool
+        is rebuilt around its pooled numerator, with the hash the lookup
+        computed."""
         pool = self._value_pool
         r = pool.get(g.r)
         if r is None:
             num = pool.setdefault(g.r.num, g.r.num)
-            r = g.r if num is g.r.num else SFraction(self.ring, num, g.r.den, _canonical=True)
+            r = g.r if num is g.r.num else g.r._renum(num)
             pool[r] = r
         return g if r is g.r else tuple.__new__(LampElem, (r, g.q))
 

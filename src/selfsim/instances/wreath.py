@@ -241,12 +241,13 @@ class WreathInstance(Instance):
     def _pooled(self, r):
         """The one object of the value pool equal to the fraction r.  A
         fraction new to the pool enters rebuilt around its pooled
-        numerator, as `LampInstance.share` does."""
+        numerator, with the hash the lookup computed, as
+        `LampInstance.share` does."""
         pool = self._value_pool
         out = pool.get(r)
         if out is None:
             num = pool.setdefault(r.num, r.num)
-            out = r if num is r.num else r.__class__(r.ring, num, r.den, _canonical=True)
+            out = r if num is r.num else r._renum(num)
             pool[out] = out
         return out
 

@@ -24,10 +24,14 @@ rings; each supplies only how to multiply a numerator by b_i^k and how to
 divide it by b_i exactly.  As the b_i are pairwise coprime and operands
 canonical, only these axes are trial-divided: in a sum, those with equal
 exponents (where they differ, b_i divides exactly one scaled numerator);
-in a product by prod b_i^{w_i}, those raised from 0; in a sum a + b * unit
-(`MultiSFraction.add_mul`), the union of both rules; in a product of two
-fractions, all (g need not be irreducible).  `canonicalize`, the validated
-public entry, trial-divides every axis and is the tests' oracle.  One
+in a product by prod b_i^{w_i}, those raised from 0; in a sum
+a + b * u * prod b_i^{w_i} with u a unit of R, the union of both rules, in
+one `_join` and one `_cancel` (`_LocalFraction._add_mul`, shared by
+`MultiSFraction.add_mul` and the lamplighter product); in a product of two
+fractions, all (g need not be irreducible).  `LocalizedRing` scales by
+f_0 = x as a shift and divides by it as a shift after a constant-term
+test, in both polynomial storages.  `canonicalize`, the validated public
+entry, trial-divides every axis and is the tests' oracle.  One
 evaluation at 1 (`eval_at_one`) serves both: each ring keeps its basis
 values at 1 and supplies only the value of a numerator (`_num_at_one`).
 
@@ -553,6 +557,25 @@ class _LocalFraction:
                 acc = acc * pow(v, -e, ring.p) % ring.p
         return acc
 
+    def _add_mul(self, other, num, w):
+        """self + other * u * prod b_i^{w_i} in one pass, where num is
+        other.num times the unit u of R (x^exps in the Laurent ring, 1 or a
+        scalar in F_p[x]): each numerator is scaled at most once per axis,
+        and only the axes where b_i can divide the sum are trial-divided."""
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other._mul_basis(num, w)
+        n1, n2, den, axes = self._join(num, other.den, w)
+        return self.ring._cancel(n1 + n2, den, axes)
+
+    def _renum(self, num):
+        """self around an equal numerator num (a pooled one), carrying the
+        hash self has already computed."""
+        out = self.__class__(self.ring, num, self.den, _canonical=True)
+        out._hash = self._hash
+        return out
+
     def _mul_basis(self, num, exps):
         """num / den * prod b_i^{w_i}, where num is self.num times a unit of
         R (a nonzero scalar, or a monomial in the Laurent ring).  Only an
@@ -704,6 +727,8 @@ class LocalizedRing(_Localization):
 
     def __init__(self, p: int, polys):
         self.polys = tuple(polys)
+        if not self.polys or self.polys[0].to_json() != [0, 1]:
+            raise ValueError("the first basis polynomial must be x")
         super().__init__(p, len(self.polys))
         self.pivot = DensePoly(p, (-1, 1))
         self.basis_at_one = tuple(f.eval(1) for f in self.polys)
@@ -728,11 +753,24 @@ class LocalizedRing(_Localization):
         return out
 
     def _scale(self, num: DensePoly, i: int, k: int) -> DensePoly:
-        return num * self._pow(self.polys[i], k)
+        if i:
+            return num * self._pow(self.polys[i], k)
+        # f_0 = x: a shift
+        b = num._bits
+        if b is not None:
+            return DensePoly._packed(b << k)
+        return DensePoly._raw(self.p, (0,) * k + num.coeffs) if num.coeffs else num
 
     def _divide(self, num: DensePoly, i: int):
-        q, r = divmod(num, self.polys[i])
-        return q if r.is_zero else None
+        if i:
+            q, r = divmod(num, self.polys[i])
+            return q if r.is_zero else None
+        # f_0 = x divides exactly the polynomials with constant term 0
+        b = num._bits
+        if b is not None:
+            return None if b & 1 else DensePoly._packed(b >> 1)
+        c = num.coeffs
+        return None if c and c[0] else DensePoly._raw(self.p, c[1:])
 
     def _num_at_one(self, num: DensePoly) -> int:
         return num.eval(1)
@@ -1065,15 +1103,8 @@ class MultiSFraction(_LocalFraction):
         return self._mul_basis(self.num, exps)
 
     def add_mul(self, other: "MultiSFraction", exps, gexps) -> "MultiSFraction":
-        """self + other * x^exps * prod g(x_i)^{gexps_i} in one pass: each
-        numerator is scaled at most once per axis, and only the axes where
-        g(x_i) can divide the sum are trial-divided."""
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other._mul_basis(other.num.mul_monomial(exps), gexps)
-        n1, n2, den, axes = self._join(other.num.mul_monomial(exps), other.den, gexps)
-        return self.ring._cancel(n1 + n2, den, axes)
+        """self + other * x^exps * prod g(x_i)^{gexps_i}, one `_add_mul`."""
+        return self._add_mul(other, other.num.mul_monomial(exps), gexps)
 
     def render(self) -> str:
         num = self.num.render()

@@ -18,7 +18,7 @@ from selfsim.engine import (
 )
 from selfsim.instances import InstanceConfigError, load_config
 from selfsim.instances.lamplighter import LampInstance
-from selfsim.ring import DensePoly
+from selfsim.ring import DensePoly, canonicalize
 
 
 def P(p, *coeffs):
@@ -262,6 +262,26 @@ def test_letters_closed_form_matches_generic_oracle(p, n):
     assert any(any(g.r.den) for g in elems) and any(min(g.q) < 0 for g in elems)
     for g in elems:
         assert inst.letters(g) == Instance.letters(inst, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_multiply_matches_the_two_step_product(p, n):
+    # one shift-and-add against a.r + b.r * phi(a.q)^{-1} in two steps
+    inst = LampInstance(p, basis(p, n))
+    rng = random.Random(100 * p + n)
+    elems = [inst.random_element(rng) for _ in range(12)]
+    elems += [inst.random_h_element(rng) for _ in range(4)]
+    elems += list(inst.transversal) + list(inst.generators().values())
+    assert any(not any(g.q) for g in elems) and any(g.r.is_zero for g in elems)
+    assert not all(inst.h_member(g) for g in elems)
+    for a in elems:
+        for b in elems:
+            got = inst.multiply(a, b)
+            assert got.r == a.r + b.r.mul_unit(1, tuple(-e for e in a.q))
+            assert got.q == tuple(x + y for x, y in zip(a.q, b.q))
+            c = canonicalize(inst.ring, got.r.num, got.r.den)
+            assert (c.num, c.den) == (got.r.num, got.r.den)
 
 
 def test_letters_reports_a_wrong_coset_formula(monkeypatch):

@@ -6,6 +6,8 @@ trusted constructor `DensePoly._raw`, and is the oracle here: every
 contract operation runs on both storages of the same operands, and the
 results must be the same polynomials, each still in its operands' storage.
 Operands reach degree 1,100, the range of the Borel m = 4, p = 2 configs.
+The localized ring scales and divides by f_0 = x as a shift on either
+storage; the generic product and division are its oracle.
 """
 
 import itertools
@@ -16,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from selfsim.ring import DensePoly, NotInvertible, _canon  # noqa: E402
+from selfsim.ring import DensePoly, LocalizedRing, NotInvertible, _canon  # noqa: E402
 
 MAX_DEGREE = 1100
 
@@ -156,3 +158,47 @@ def test_mixed_moduli_are_refused_by_the_packed_storage_too():
             op(f3, f2)
     with pytest.raises(ZeroDivisionError):
         divmod(f2, DensePoly.zero(2))
+
+
+# -- f_0 = x in the localized ring: a shift --------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_axis_0_shift_matches_the_generic_product_and_division(p, data):
+    # the packed storage at p = 2, the tuple storage at p = 3
+    ring = LocalizedRing(p, [DensePoly.x(p)])
+    # numerators up to degree 40, the zero polynomial and multiples of x among them
+    num = DensePoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=41)))
+    k = data.draw(st.integers(0, 20))
+    x = DensePoly.x(p)
+    scaled = ring._scale(num, 0, k)
+    assert scaled == num * x**k and (scaled._bits is None) == (num._bits is None)
+    for f in (num, scaled):
+        q, r = divmod(f, x)
+        got = ring._divide(f, 0)
+        if r.is_zero:
+            assert got == q and (got._bits is None) == (f._bits is None)
+        else:
+            assert got is None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_axis_0_needs_no_polynomial_product_or_division(p, monkeypatch):
+    ring = LocalizedRing(p, [DensePoly.x(p)])
+    num = DensePoly(p, [1, 1, 0, 1])
+    calls = []
+    for name in ("__mul__", "__divmod__"):
+        original = getattr(DensePoly, name)
+        monkeypatch.setattr(
+            DensePoly, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    scaled = ring._scale(num, 0, 7)
+    assert ring._divide(num, 0) is None
+    assert ring._divide(scaled, 0) == ring._scale(num, 0, 6)
+    assert calls == []
+    # the fraction arithmetic on the one axis x trial-divides only by shifting
+    a = ring.fraction(scaled, [9])
+    b = a.mul_unit(1, (-3,)) + a._add_mul(a, num, (2,))
+    assert a.den == (2,) and b.den == (5,)
+    assert calls == []

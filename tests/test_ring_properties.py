@@ -184,17 +184,29 @@ def g_unit(ring, exps, gexps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PRIMES), st.data())
-def test_add_mul_is_canonical_and_matches_sum_of_product(p, data):
-    ring = RINGS["m", p]
+@given(ring_keys, st.data())
+def test_add_mul_is_canonical_and_matches_sum_of_product(key, data):
+    # the shared shift-and-add: MultiSFraction.add_mul with the unit x^exps,
+    # and _add_mul in F_p[x] with a scalar unit (1 in the lamplighter product)
+    ring = RINGS[key]
     a, b = data.draw(fractions(ring)), data.draw(fractions(ring))
-    exps = data.draw(st.tuples(*[st.integers(-3, 3)] * D))
-    gexps = data.draw(st.tuples(*[st.integers(-4, 4)] * D))
-    unit = g_unit(ring, exps, gexps)
-    r = a.add_mul(b, exps, gexps)
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * ring.n))
+    if key[0] == "m":
+        exps = data.draw(st.tuples(*[st.integers(-3, 3)] * D))
+        unit = g_unit(ring, exps, w)
+
+        def add_mul(x):
+            return x.add_mul(b, exps, w)
+    else:
+        c = data.draw(st.integers(1, ring.p - 1))
+        unit = unit_fraction(ring, c, w)
+
+        def add_mul(x):
+            return x._add_mul(b, b.num.mul_scalar(c), w)
+    r = add_mul(a)
     assert canonical(r)
     assert r == a + b * unit
-    u = ring.zero.add_mul(b, exps, gexps)
+    u = add_mul(ring.zero)
     assert canonical(u) and u == b * unit
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from selfsim.engine import decompose, product_rule_check
 from selfsim.instances import load_config
-from selfsim.ring import DensePoly, vec
+from selfsim.ring import DensePoly, _LocalFraction, vec
 from selfsim.verify import run_suite
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -146,6 +146,35 @@ def test_product_map_is_written_once_per_operand_pair(config):
     for _ in range(4):
         assert product_rule_check(inst, inst.random_element(rng), inst.random_element(rng), 3)
     assert products.writes == len(products) > 0
+
+
+@pytest.mark.parametrize("config", ["lamplighter_p2_n2", "lamplighter_p3_n2", "wreath_localized_p2_d2"])
+def test_a_rebuilt_fraction_is_stored_with_its_hash(config, monkeypatch):
+    # share rebuilds a fraction new to the pool around the pooled equal
+    # numerator; the rebuilt fraction carries the hash that the pool lookup
+    # computed for the fraction it replaces
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng = random.Random(3)
+    g = inst.random_element(rng)
+    while g.r.is_zero:
+        g = inst.random_element(rng)
+    num = g.r.num
+    twin = (num + num) - num
+    assert twin == num and twin is not num
+    inst._value_pool[twin] = twin
+    computed = []
+    original = _LocalFraction.__hash__
+
+    def counting(self):
+        if self._hash is None:
+            computed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(_LocalFraction, "__hash__", counting)
+    r = inst.share(g).r
+    assert r == g.r and r is not g.r and r.num is twin
+    assert inst._value_pool[r] is r and r._hash == hash(g.r)
+    assert [id(f) for f in computed] == [id(g.r)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
