@@ -35,12 +35,11 @@ u^i g u^{-j} = (i + r - j phi(q)^{-1}, q) has the state
     ((r - c)/(x-1) + j (1 - phi(q)^{-1})/(x-1), q) = (B + j W, q),
 
 because i + c - j vanishes in F_p.  With r = N/D, D = prod f_i^{e_i}, the
-difference r - c is (N - c D)/D and already canonical, since f_i divides
-c D but not N wherever e_i > 0; so B costs one exact division by x-1 and
-no trial division.  W depends on q only and is memoized; B and W are put
-over one denominator once per element, so a letter costs a scalar
-multiple, a sum and its cancellation.  The generic `Instance.letters`
-stays the oracle.
+ring subtraction r - c scales c onto D and trial-divides nothing, since
+f_i divides c D but not N wherever e_i > 0; B is then one exact division
+by x-1.  W depends on q only and is memoized; B and W are put over one
+denominator once per element, so a letter costs a scalar multiple, a sum
+and its cancellation.  The generic `Instance.letters` stays the oracle.
 """
 
 from __future__ import annotations
@@ -126,14 +125,7 @@ class LampInstance(Instance):
         p, ring = self.p, self.ring
         r, q = g
         c = r.eval_at_one()
-        if c:
-            # r - c = (N - c D)/D, canonical as it stands
-            d = DensePoly.one(p)
-            for i, e in enumerate(r.den):
-                if e:
-                    d = ring._scale(d, i, e)
-            r = SFraction(ring, r.num - d.mul_scalar(c), r.den, _canonical=True)
-        base = divide_exact(r, 1)
+        base = divide_exact(r - ring.constant(c) if c else r, 1)
         # B and W over one denominator, so that B + j W scales nothing
         num_b, num_w, den, axes = base._join(*self._w(q))
         images, states = [], []

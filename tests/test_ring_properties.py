@@ -183,7 +183,7 @@ def g_unit(ring, exps, gexps):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(ring_keys, st.data())
 def test_add_mul_is_canonical_and_matches_sum_of_product(key, data):
     # the shared shift-and-add: MultiSFraction.add_mul with the unit x^exps,
