@@ -8,25 +8,35 @@ equivalent to: no subset of at most m distinct points admits a vanishing
 positive combination, i.e. the origin never lies in the open conic hull
 of <= m of the points.
 
-Feasibility of  sum c_i v_i = 0, c_i > 0  is decided exactly: by
-homogeneity it is equivalent to  sum c_i v_i = 0, c_i >= 1, which is a
-rational linear feasibility problem solved by Gaussian elimination on the
-equalities followed by Fourier-Motzkin elimination of the free variables
-(dimensions and subset sizes are tiny here).
+The combinations  sum c_i v_i = 0  form the dependence space ker V, V the
+matrix whose columns are the k points.  A vector of ker V is elementary when
+no nonzero vector of ker V has a smaller support; every vector of ker V is a
+sum of elementary vectors whose signs agree with its own (Rockafellar, "The
+elementary vectors of a subspace of R^N", 1969).  So the smallest subset
+with a vanishing positive combination is the support of a sign-uniform
+elementary vector, and the tameness degree is min(max_m, s - 1) for the
+smallest such support s, or max_m when no elementary vector is
+sign-uniform.  With d = dim ker V, the elementary vectors are, up to scale,
+the vectors of the one-dimensional spaces {y in ker V : y_j = 0, j in Z}
+for the sets Z of d - 1 coordinates.  One exact Gauss-Jordan elimination
+over Fraction gives a basis of ker V, and one more per Z, of d - 1
+equations in the coefficients of that basis, gives each space.
 
 For the metabelian family over the basis f_0 = x, f_1, ..., f_{n-1} the
-complement character set is the n+1 points
+complement character set (Bieri and Strebel, "Valuations and finitely
+presented metabelian groups", Proc. LMS 41, 1980) is the n+1 points
 
     e_0, ..., e_{n-1}  and  (-deg f_0, ..., -deg f_{n-1}),
 
 whose tameness degree is exactly n: any n of them lie in an open
 half-space, while all n+1 conically span the origin with coefficients
-(deg f_0, ..., deg f_{n-1}, 1).  The finiteness report derives from the
-tameness degree m: homological type FP_m but not FP_{m+1}, and finite
-presentability exactly when m >= 2.  For this family the module of
-a-exponents has finite exponent p and Krull dimension one, where the
-tameness criterion for FP_m is a theorem, not a conjecture; the report
-labels its basis accordingly.
+(deg f_0, ..., deg f_{n-1}, 1).  Its dependence space has d = 1: the only
+Z is empty, and the degree takes the one elimination of V.  The finiteness
+report derives from the tameness degree m: homological type FP_m but not
+FP_{m+1}, and finite presentability exactly when m >= 2.  For this family
+the module of a-exponents has finite exponent p and Krull dimension one,
+where the tameness criterion for FP_m is a theorem, not a conjecture; the
+report labels its basis accordingly.
 
 The localized wreath family is different: its module is never 3-tame, so
 those groups are never of type FP_3 (a static remark; this module does
@@ -44,91 +54,60 @@ WREATH_TAMENESS_NOTE = (
 )
 
 
-def _fourier_motzkin(ineqs: list[tuple[tuple, Fraction]], nvars: int) -> bool:
-    """Feasibility of  sum a_j y_j >= rhs  systems by variable elimination."""
-    system = ineqs
-    for var in range(nvars):
-        zeros, pos, neg = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c == 0:
-                zeros.append((coeffs, rhs))
-            elif c > 0:
-                pos.append((coeffs, rhs))
-            else:
-                neg.append((coeffs, rhs))
-        new_system = zeros
-        for pc, pr in pos:
-            for nc, nr in neg:
-                # scale to cancel the variable: combine p/|p_c| + n/|n_c|
-                a = pc[var]
-                b = -nc[var]
-                coeffs = tuple(x * b + y * a for x, y in zip(pc, nc))
-                new_system.append((coeffs, pr * b + nr * a))
-        system = new_system
-    return all(rhs <= 0 for _, rhs in system)
-
-
-def positive_combination_exists(points) -> bool:
-    """Whether sum c_i v_i = 0 has a solution with every c_i > 0."""
-    pts = [tuple(Fraction(x) for x in v) for v in points]
-    k = len(pts)
-    if k == 0:
-        return False
-    dim = len(pts[0])
-    # Gaussian elimination on the equality system sum c_i v_i = 0.
-    reduced = [[pts[i][r] for i in range(k)] for r in range(dim)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        pivot_row = None
-        for rr in range(r, dim):
-            if reduced[rr][c] != 0:
-                pivot_row = rr
-                break
-        if pivot_row is None:
+def _kernel(rows, k: int) -> list[list[Fraction]]:
+    """A basis of {c in Q^k : r . c = 0 for every row r}: one Gauss-Jordan
+    elimination, then one basis vector per free column."""
+    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for col, r in reduced:
+            if row[col]:
+                row = [x - row[col] * y for x, y in zip(row, r)]
+        col = next((c for c in range(k) if row[c]), None)
+        if col is None:
             continue
-        reduced[r], reduced[pivot_row] = reduced[pivot_row], reduced[r]
-        pv = reduced[r][c]
-        reduced[r] = [x / pv for x in reduced[r]]
-        for rr in range(dim):
-            if rr != r and reduced[rr][c] != 0:
-                f = reduced[rr][c]
-                reduced[rr] = [x - f * y for x, y in zip(reduced[rr], reduced[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == dim:
-            break
-    free_cols = [c for c in range(k) if c not in pivot_cols]
-    # express c_pivot = -sum over free columns; build the c_i >= 1 system
-    # over the free variables
-    nfree = len(free_cols)
-    ineqs: list[tuple[tuple, Fraction]] = []
-    for i in range(k):
-        if i in pivot_cols:
-            row = reduced[pivot_cols.index(i)]
-            coeffs = tuple(-row[c] for c in free_cols)
-        else:
-            coeffs = tuple(
-                Fraction(1) if c == i else Fraction(0) for c in free_cols
-            )
-        ineqs.append((coeffs, Fraction(1)))
-    return _fourier_motzkin(ineqs, nfree)
+        row = [x / row[col] for x in row]
+        reduced = [
+            (c, [x - r[col] * y for x, y in zip(r, row)] if r[col] else r) for c, r in reduced
+        ]
+        reduced.append((col, row))
+    pivots = {col for col, _ in reduced}
+    basis = []
+    for free in range(k):
+        if free not in pivots:
+            v = [Fraction(int(c == free)) for c in range(k)]
+            for col, r in reduced:
+                v[col] = -r[free]
+            basis.append(v)
+    return basis
 
 
 def tame_degree(points, max_m: int) -> int:
     """Largest m <= max_m such that no subset of <= m distinct points has
-    the origin in its open conic hull."""
+    the origin in its open conic hull.
+
+    That is min(max_m, s - 1) for the smallest support s of a sign-uniform
+    elementary vector of ker V, or max_m when there is none (see the module
+    docstring)."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     pts = list(points)
-    for size in range(2, max_m + 1):
-        if size > len(pts):
-            break
-        for subset in combinations(pts, size):
-            if positive_combination_exists(subset):
-                return size - 1
-    return max_m
+    k = len(pts)
+    basis = _kernel(zip(*pts), k)
+    d = len(basis)
+    if d == 0:
+        return max_m
+    best = max_m
+    for zeros in combinations(range(k), d - 1):
+        # the dependencies vanishing on `zeros`, as coefficients of the basis
+        coeffs = _kernel([[b[j] for b in basis] for j in zeros], d)
+        if len(coeffs) != 1:
+            continue
+        v = [sum(c * b[i] for c, b in zip(coeffs[0], basis)) for i in range(k)]
+        signs = {x > 0 for x in v if x != 0}
+        if len(signs) == 1:
+            best = min(best, sum(x != 0 for x in v) - 1)
+    return best
 
 
 def sigma_c_for_lamp(instance) -> tuple:

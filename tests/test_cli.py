@@ -3,7 +3,10 @@ and the documented file formats."""
 
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,7 @@ from selfsim.cli import (
     parse_expr,
 )
 from selfsim.instances import load_config
-from selfsim.ring import MAX_POLY_DEGREE
+from selfsim.ring import MAX_POLY_DEGREE, DensePoly
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -636,6 +639,33 @@ def test_tame_reports(capsys):
     code, out, _ = run(capsys, "tame", str(CONFIGS / "lamplighter_p2_n2.json"))
     data = json.loads(out)
     assert data["tame_degree"] == 2 and data["finitely_presented"] is True
+
+
+def test_tame_on_forty_basis_polynomials_is_fast(tmp_path):
+    # x and the 39 irreducible polynomials of degree 2 to 7 over F_2 other
+    # than x + 1 (each has f(1) = 1); a subset search over the 41 characters
+    # would not finish
+    polys = [[0, 1]]
+    for bits in range(4, 256):
+        coeffs = [(bits >> i) & 1 for i in range(bits.bit_length())]
+        if DensePoly(2, coeffs).is_irreducible():
+            polys.append(coeffs)
+    assert len(polys) == 40
+    path = tmp_path / "lamplighter_p2_n40.json"
+    path.write_text(json.dumps({"family": "lamplighter", "p": 2, "polys": polys}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    for argv in (["tame"], ["verify", "--suite", "tame", "--seed", "0"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "selfsim.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        data = json.loads(done.stdout)
+        if argv[0] == "tame":
+            assert data["tame_degree"] == data["fp_type"] == 40
+        else:
+            assert data["passed"] and all(c["passed"] for c in data["checks"])
+            assert data["checks"][0]["details"] == "degree 40, n 40"
 
 
 def test_tame_unsupported_family(capsys):

@@ -1,16 +1,18 @@
-"""Tameness degrees: worked examples, agreement with a brute-force conic
-oracle, invariance properties, and the finiteness reports."""
+"""Tameness degrees: worked examples, the subset and Fourier-Motzkin
+oracle and its own brute-force check, invariance properties, and the
+finiteness reports."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from selfsim.instances.lamplighter import LampInstance
 from selfsim.ring import DensePoly
 from selfsim.tame import (
     WREATH_TAMENESS_NOTE,
     finiteness_report,
-    positive_combination_exists,
     sigma_c_for_lamp,
     tame_degree,
 )
@@ -31,6 +33,95 @@ def lamp_with_n(n, p=2):
 
 
 # -- oracle -------------------------------------------------------------------
+# tame_degree as the subset search it replaced: every subset of 2 to max_m
+# points, each decided by Gaussian elimination on the equalities and
+# Fourier-Motzkin elimination of the free variables.  Feasibility of
+# sum c_i v_i = 0, c_i > 0 is by homogeneity that of sum c_i v_i = 0,
+# c_i >= 1, a rational linear feasibility problem.
+
+
+def _fourier_motzkin(ineqs: list[tuple[tuple, Fraction]], nvars: int) -> bool:
+    """Feasibility of  sum a_j y_j >= rhs  systems by variable elimination."""
+    system = ineqs
+    for var in range(nvars):
+        zeros, pos, neg = [], [], []
+        for coeffs, rhs in system:
+            c = coeffs[var]
+            if c == 0:
+                zeros.append((coeffs, rhs))
+            elif c > 0:
+                pos.append((coeffs, rhs))
+            else:
+                neg.append((coeffs, rhs))
+        new_system = zeros
+        for pc, pr in pos:
+            for nc, nr in neg:
+                # scale to cancel the variable: combine p/|p_c| + n/|n_c|
+                a = pc[var]
+                b = -nc[var]
+                coeffs = tuple(x * b + y * a for x, y in zip(pc, nc))
+                new_system.append((coeffs, pr * b + nr * a))
+        system = new_system
+    return all(rhs <= 0 for _, rhs in system)
+
+
+def positive_combination_exists(points) -> bool:
+    """Whether sum c_i v_i = 0 has a solution with every c_i > 0."""
+    pts = [tuple(Fraction(x) for x in v) for v in points]
+    k = len(pts)
+    if k == 0:
+        return False
+    dim = len(pts[0])
+    # Gaussian elimination on the equality system sum c_i v_i = 0.
+    reduced = [[pts[i][r] for i in range(k)] for r in range(dim)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(k):
+        pivot_row = None
+        for rr in range(r, dim):
+            if reduced[rr][c] != 0:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        reduced[r], reduced[pivot_row] = reduced[pivot_row], reduced[r]
+        pv = reduced[r][c]
+        reduced[r] = [x / pv for x in reduced[r]]
+        for rr in range(dim):
+            if rr != r and reduced[rr][c] != 0:
+                f = reduced[rr][c]
+                reduced[rr] = [x - f * y for x, y in zip(reduced[rr], reduced[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == dim:
+            break
+    free_cols = [c for c in range(k) if c not in pivot_cols]
+    # express c_pivot = -sum over free columns; build the c_i >= 1 system
+    # over the free variables
+    nfree = len(free_cols)
+    ineqs: list[tuple[tuple, Fraction]] = []
+    for i in range(k):
+        if i in pivot_cols:
+            row = reduced[pivot_cols.index(i)]
+            coeffs = tuple(-row[c] for c in free_cols)
+        else:
+            coeffs = tuple(
+                Fraction(1) if c == i else Fraction(0) for c in free_cols
+            )
+        ineqs.append((coeffs, Fraction(1)))
+    return _fourier_motzkin(ineqs, nfree)
+
+
+def subset_tame_degree(points, max_m: int) -> int:
+    """tame_degree by trying every subset of 2 to max_m points."""
+    pts = list(points)
+    for size in range(2, max_m + 1):
+        if size > len(pts):
+            break
+        for subset in combinations(pts, size):
+            if positive_combination_exists(subset):
+                return size - 1
+    return max_m
 
 
 def _oracle_pair(a, b) -> bool:
@@ -99,6 +190,44 @@ def test_tame_degree_antipodal_pair():
 
 def test_tame_degree_single_point():
     assert tame_degree([(1, 0)], 7) == 7
+
+
+def test_tame_degree_without_dependencies_is_max_m():
+    # d = dim ker V = 0: the empty set and independent points
+    assert tame_degree([], 3) == 3
+    assert tame_degree([(1, 0, 0), (1, 2, 0), (0, -1, 5)], 2) == 2
+
+
+def test_tame_degree_with_a_larger_dependence_space():
+    # d = 3: the smallest dependence, 2 v_0 - v_1 = 0, has mixed signs;
+    # v_2 + v_3 + v_4 = 0 is sign-uniform on three points
+    pts = [(1, 0), (2, 0), (1, 1), (-1, -2), (0, 1)]
+    assert tame_degree(pts, 5) == subset_tame_degree(pts, 5) == 2
+    # three points on one ray and its opposite: the antipodal pair decides
+    assert tame_degree([(1,), (3,), (2,), (-5,)], 4) == 1
+
+
+def test_tame_degree_rejects_max_m_below_1():
+    with pytest.raises(ValueError, match="max_m"):
+        tame_degree([(1,)], 0)
+
+
+def test_tame_degree_matches_the_subset_oracle():
+    # seeded sets with repeated rays, antipodal pairs and positive multiples,
+    # at every max_m; tests/test_tame_elementary.py draws more of them
+    rng = random.Random(11)
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        pts = []
+        for _ in range(rng.randint(0, 5)):
+            v = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if any(v):
+                pts.append(v)
+            if pts and rng.random() < 0.2:
+                scale = rng.choice([-1, 2])
+                pts.append(tuple(scale * x for x in rng.choice(pts)))
+        for m in range(1, len(pts) + 2):
+            assert tame_degree(pts, m) == subset_tame_degree(pts, m), (pts, m)
 
 
 # -- sigma sets of the metabelian family ------------------------------------------
