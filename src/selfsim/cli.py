@@ -30,9 +30,9 @@ import re
 import sys
 from collections import namedtuple
 
-from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config, parse_json
+from .instances import MAX_WORD_LENGTH, InstanceConfigError, load_config
 from .engine import CapExceeded, decompose, portrait, states_bfs
-from .ring import NotInvertible
+from .ring import NotInvertible, parse_json
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0

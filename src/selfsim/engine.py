@@ -46,7 +46,8 @@ decomposition passes g and each of its states through it, so equal
 states are the same object and a later lookup hits on identity before
 any field is compared.  An element enters the pool as `share(x)`, which
 a family overrides to rebuild x from ring values pooled once per
-instance (its `_value_pool`), so the insides of stored elements are one
+instance (its `_value_pool`, which a fraction enters through
+`ring._LocalFraction.pooled`), so the insides of stored elements are one
 object per value too; `share` runs on pool misses only, and
 temporaries never pay for it.  `_product_cache` maps an operand pair
 (a_i, b_j) of `product_rule_check` to the interned state its product was
@@ -66,6 +67,8 @@ from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
+
+from .ring import parse_json
 
 
 class ContractViolation(RuntimeError):
@@ -446,7 +449,7 @@ class MealyAutomaton:
     def from_json_bytes(data: bytes) -> "MealyAutomaton":
         """The automaton of a `to_json_bytes` document; ValueError on
         anything else."""
-        obj = json.loads(data.decode())
+        obj = parse_json(data.decode())
         if not isinstance(obj, dict) or obj.keys() != set(AUTOMATON_KEYS):
             raise ValueError("an automaton is a JSON object with exactly the keys " + ", ".join(AUTOMATON_KEYS))
         tables = obj["transitions"], obj["outputs"]

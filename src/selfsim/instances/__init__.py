@@ -16,10 +16,9 @@ Instance configurations are JSON objects; see ``load_config``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from ..ring import DensePoly, check_keys, is_prime
+from ..ring import DensePoly, check_keys, is_prime, parse_json
 
 
 class InstanceConfigError(ValueError):
@@ -46,26 +45,6 @@ CONFIG_KEYS = {
     "lamplighter": {"polys", "n"},
     "wreath": {"d", "g", "localized"},
 }
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object from its key-value pairs, rejecting a repeated key
-    (json.loads would keep its last value)."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
-    return out
-
-
-def parse_json(text: str):
-    """json.loads, with a repeated object key or nesting past the
-    interpreter's recursion limit a ValueError."""
-    try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except RecursionError:
-        raise ValueError("nested too deeply") from None
 
 
 def load_config(source):

@@ -15,7 +15,9 @@ With the product convention
 the exponent of a product is one shift-and-add of the ring (`_add_mul`):
 r1 and r2 * phi(q1)^{-1} are put over one denominator, each numerator
 scaled at most once per basis polynomial (by a shift for f_0 = x), and
-the sum is cancelled once.  The generators decompose in closed form:
+the sum is cancelled once.  The inverse (-r * phi(q), -q) is the same
+shift-and-add onto 0, and `share` stores an exponent through the ring's
+`pooled`, one object per value.  The generators decompose in closed form:
 
     u          -> trivial states, the p-cycle (0 1 ... p-1);
     x_j        -> states u^{-i (f_j^{-1} - 1)/(x-1)} x_j, trivial perm;
@@ -101,8 +103,9 @@ class LampInstance(Instance):
         return LampElem(r, tuple(map(add, a.q, b.q)))
 
     def invert(self, a: LampElem) -> LampElem:
-        r = -(a.r.mul_unit(1, a.q))
-        return LampElem(r, tuple(-e for e in a.q))
+        """(-a.r * phi(a.q), -a.q), the exponent as a shift-and-add onto 0."""
+        r = self.ring.zero._add_mul(a.r, -a.r.num, a.q)
+        return LampElem(r, tuple(map(neg, a.q)))
 
     def h_member(self, g: LampElem) -> bool:
         return g.r.eval_at_one() == 0
@@ -141,16 +144,9 @@ class LampInstance(Instance):
         return images, states
 
     def share(self, g: LampElem) -> LampElem:
-        """g with its exponent and the exponent's numerator from the value
-        pool; q is a pooled vector already.  An exponent new to the pool
-        is rebuilt around its pooled numerator, with the hash the lookup
-        computed."""
-        pool = self._value_pool
-        r = pool.get(g.r)
-        if r is None:
-            num = pool.setdefault(g.r.num, g.r.num)
-            r = g.r if num is g.r.num else g.r._renum(num)
-            pool[r] = r
+        """g with its exponent from the value pool (`pooled`), which also
+        holds the exponent's numerator; q is a pooled vector already."""
+        r = g.r.pooled(self._value_pool)
         return g if r is g.r else tuple.__new__(LampElem, (r, g.q))
 
     def _w(self, q) -> tuple:

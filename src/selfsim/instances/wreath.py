@@ -62,14 +62,14 @@ Shared values of F.  The values of F depend on r alone: `_f_values` maps
 each a-part r to its p*nk values, so elements that differ only in q and
 y compute them once.  Each new value passes once through the instance's
 one value pool, `_value_pool`, which keeps one object per value across
-all a-parts; a fraction new to the pool is rebuilt around its pooled
-numerator, so equal numerators are one object too.  `share` routes the
-a-part of every element the engine stores through the same pool, so the
-products and samples the memos keep hold pooled values as well as the
-states.  The state at a^i x_1^j y_1^k does not depend on i, so it is one
-object per (j, k), held by its p letters.  Both dicts live as long as
-the instance, like the engine's memos; the cofactor check still runs at
-every letter.
+all a-parts; a fraction enters it through the ring's `pooled`, rebuilt
+around its pooled numerator, so equal numerators are one object too.
+`share` routes the a-part of every element the engine stores through the
+same pool, so the products and samples the memos keep hold pooled values
+as well as the states.  The state at a^i x_1^j y_1^k does not depend on
+i, so it is one object per (j, k), held by its p letters.  Both dicts
+live as long as the instance, like the engine's memos; the cofactor check
+still runs at every letter.
 
 These groups are not claimed finite-state; state searches must run under
 a cap.  The admissible localizing polynomials are those with at least two
@@ -233,34 +233,22 @@ class WreathInstance(Instance):
         return images, states
 
     def share(self, g: WreathElem) -> WreathElem:
-        """g with its a-part from the value pool; q and y are pooled
-        vectors already."""
-        r = self._pooled(g.r)
+        """g with its a-part from the value pool (`pooled`); q and y are
+        pooled vectors already."""
+        r = g.r.pooled(self._value_pool)
         return g if r is g.r else tuple.__new__(WreathElem, (r, g.q, g.y))
-
-    def _pooled(self, r):
-        """The one object of the value pool equal to the fraction r.  A
-        fraction new to the pool enters rebuilt around its pooled
-        numerator, with the hash the lookup computed, as
-        `LampInstance.share` does."""
-        pool = self._value_pool
-        out = pool.get(r)
-        if out is None:
-            num = pool.setdefault(r.num, r.num)
-            out = r if num is r.num else r._renum(num)
-            pool[out] = out
-        return out
 
     def _parts(self, r) -> tuple:
         """The p*nk values F(x_1^{-j} g(x_1)^{-k} r), at index j*nk + k,
         memoized per a-part r in `_f_values`.  Each new value passes once
-        through `_pooled`, so equal values of F, and equal numerators, are
+        through `pooled`, so equal values of F, and equal numerators, are
         one object across all a-parts."""
         parts = self._f_values.get(r)
         if parts is None:
+            pool = self._value_pool
             cleared = [self._cleared(r, k) for k in range(self.nk)]
             parts = self._f_values[r] = tuple(
-                [self._pooled(self._F(num, w, j)) for j in range(self.p) for num, w in cleared]
+                [self._F(num, w, j).pooled(pool) for j in range(self.p) for num, w in cleared]
             )
         return parts
 

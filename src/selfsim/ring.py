@@ -21,19 +21,26 @@ its diagonal entries modulo powers of the pivot x - 1.
 
 One core (`_Localization`, `_LocalFraction`) does the arithmetic of both
 rings; each supplies only how to multiply a numerator by b_i^k and how to
-divide it by b_i exactly.  As the b_i are pairwise coprime and operands
-canonical, only these axes are trial-divided: in a sum, those with equal
-exponents (where they differ, b_i divides exactly one scaled numerator);
-in a product by prod b_i^{w_i}, those raised from 0; in a sum
-a + b * u * prod b_i^{w_i} with u a unit of R, the union of both rules, in
-one `_join` and one `_cancel` (`_LocalFraction._add_mul`, shared by
-`MultiSFraction.add_mul` and the lamplighter product); in a product of two
-fractions, all (g need not be irreducible).  `LocalizedRing` scales by
-f_0 = x as a shift and divides by it as a shift after a constant-term
-test, in both polynomial storages.  `canonicalize`, the validated public
-entry, trial-divides every axis and is the tests' oracle.  One
-evaluation at 1 (`eval_at_one`) serves both: each ring keeps its basis
-values at 1 and supplies only the value of a numerator (`_num_at_one`).
+divide it by b_i exactly.  Two sites decide which axes a result is
+trial-divided on (`_cancel`).  `_join` decides for sums, differences, the
+shift-and-add a + b * u * prod b_i^{w_i} with u a unit of R
+(`_LocalFraction._add_mul`, behind `MultiSFraction.add_mul` and the
+lamplighter product and inverse) and unit multiples
+b * u * prod b_i^{w_i}, which are the shift-and-add onto zero
+(`_mul_basis`, behind `mul_unit`): as the b_i are pairwise coprime and
+operands canonical, b_i can divide the result only on an axis where both
+sides have equal exponents (where they differ, b_i divides exactly one
+scaled numerator) or where the second was raised from exponent 0.
+Products of two fractions and `canonicalize`, the validated public entry
+and the tests' oracle, trial-divide every axis (g need not be
+irreducible).  `LocalizedRing` scales by f_0 = x as a shift and divides
+by it as a shift after a constant-term test, in both polynomial
+storages.  One evaluation at 1 (`eval_at_one`) serves both rings: each
+keeps its basis values at 1 and supplies only the value of a numerator
+(`_num_at_one`).  A fraction enters a family's value pool only through
+`pooled` (hash-consing: Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): on a miss it is stored rebuilt around the pooled
+equal numerator, carrying the hash the lookup computed.
 
 How `DensePoly` stores its coefficients is this module's decision alone.
 Other modules use only the constructors (`DensePoly(p, coeffs)`, `zero`,
@@ -73,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections import namedtuple
 from operator import add
 
@@ -105,6 +113,27 @@ def check_keys(data: dict, allowed, what: str, error=ValueError) -> None:
     extra = sorted(map(str, data.keys() - allowed))
     if extra:
         raise error(f"{what} takes no key {extra[0]!r}")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs, rejecting a repeated key
+    (json.loads would keep its last value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def parse_json(text: str):
+    """json.loads, with a repeated object key or nesting past the
+    interpreter's recursion limit a ValueError: the one JSON reader of
+    configs, literals and automaton documents."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -569,31 +598,27 @@ class _LocalFraction:
         n1, n2, den, axes = self._join(num, other.den, w)
         return self.ring._cancel(n1 + n2, den, axes)
 
-    def _renum(self, num):
-        """self around an equal numerator num (a pooled one), carrying the
-        hash self has already computed."""
-        out = self.__class__(self.ring, num, self.den, _canonical=True)
-        out._hash = self._hash
-        return out
-
-    def _mul_basis(self, num, exps):
+    def _mul_basis(self, num, w):
         """num / den * prod b_i^{w_i}, where num is self.num times a unit of
-        R (a nonzero scalar, or a monomial in the Laurent ring).  Only an
-        exponent raised from 0 lets b_i divide num."""
+        R (a nonzero scalar, or a monomial in the Laurent ring): the
+        shift-and-add onto zero, so `_join` alone picks the axes to cancel."""
         ring = self.ring
-        den = list(self.den)
-        raised = []
-        for i, w in enumerate(exps):
-            if not w:
-                continue
-            e = den[i] - w
-            if e < 0:
-                num = ring._scale(num, i, -e)
-                e = 0
-            elif not den[i]:
-                raised.append(i)
-            den[i] = e
-        return ring._cancel(num, den, raised)
+        _, num, den, axes = ring.zero._join(num, self.den, w)
+        return ring._cancel(num, den, axes)
+
+    def pooled(self, pool: dict):
+        """The one object of pool equal to self.  On a miss self enters the
+        pool, rebuilt around the pooled equal numerator when there is one,
+        with the hash the lookup has just computed."""
+        out = pool.get(self)
+        if out is None:
+            num = pool.setdefault(self.num, self.num)
+            out = self
+            if num is not self.num:
+                out = self.__class__(self.ring, num, self.den, _canonical=True)
+                out._hash = self._hash
+            pool[out] = out
+        return out
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -326,6 +326,20 @@ def test_automaton_json_rejects_a_top_level_other_than_an_object(blob):
         MealyAutomaton.from_json_bytes(blob)
 
 
+@pytest.mark.parametrize(
+    "blob, match",
+    [
+        # json.loads alone would keep the last "initial" and accept the document
+        (b'{"initial": 5, ' + json.dumps(GOOD_AUTOMATON).encode()[1:], "repeated key 'initial'"),
+        (b"[" * 100000, "nested too deeply"),
+    ],
+    ids=["repeated-key", "deeply-nested"],
+)
+def test_automaton_json_rejects_a_repeated_key_or_deep_nesting(blob, match):
+    with pytest.raises(ValueError, match=match):
+        MealyAutomaton.from_json_bytes(blob)
+
+
 def test_automaton_json_accepts_the_good_document():
     aut = MealyAutomaton.from_json_bytes(json.dumps(GOOD_AUTOMATON).encode())
     assert aut.simulate((0, 1, 1)) == (0, 1, 0)
