@@ -26,12 +26,12 @@ finite-state and the search must never loop unboundedly.
 Word convention: the level-1 letter is the leftmost letter of a word;
 sigma acts on it and the state at that letter acts on the suffix.
 
-Elements are tuples of canonical values, one named tuple class per
-family, so they compare and hash as tuples: two elements of one instance
-are equal exactly when their fields are.  No engine map mixes elements
-with other tuples.  `_decomp_cache` and `_intern_pool` hold elements
-only, `_prule_cache` and `_product_cache` pairs of elements only, and
-`_perm_pool` image tuples only.
+Elements are immutable values that compare and hash by value; Borel's
+is its `TriMat`: two elements of one instance are equal exactly when
+their fields are.  No engine map mixes elements with tuples.
+`_decomp_cache` and `_intern_pool` hold elements only, `_prule_cache`
+and `_product_cache` pairs of elements only, and `_perm_pool` image
+tuples only.
 
 Decompositions are pure and memoized per instance, in five dicts that
 live as long as the instance.  `_decomp_cache` maps g to its
@@ -101,11 +101,11 @@ class WreathDecomp(tuple):
 class Instance(ABC):
     """Capability set every concrete family provides to the engine.
 
-    Elements are tuples of canonical values (a named tuple class per
-    family), compared and hashed as tuples, so they are equal exactly when
-    they are equal in the group.  The engine's maps never mix them with
-    other tuples.  The transversal is ordered with t_0 in H (all families
-    use t_0 = identity).
+    Elements are immutable values that compare and hash by value; Borel's
+    is its `TriMat`.  They are equal exactly when they are equal in the
+    group, and the engine's maps never mix them with tuples.  The
+    transversal is ordered with t_0 in H (all families use
+    t_0 = identity).
 
     A family must provide the abstract members: `degree`,
     `_build_transversal`, `identity`, `multiply`, `invert`, `h_member`,
@@ -223,17 +223,21 @@ class Instance(ABC):
             images.append(j)
         return images, states
 
+    @cached_property
+    def _word_factors(self) -> tuple:
+        """(g, g^{-1}) for each distinct non-identity generator g, in
+        `generators()` order."""
+        gens = dict.fromkeys(g for name, g in self.generators().items() if name != "e")
+        return tuple((g, self.invert(g)) for g in gens)
+
     def random_word(self, rng, length: int):
         """A product of `length` factors, each drawn by rng.choice from the
         distinct non-identity generators in `generators()` order and then
         inverted when rng.randrange(2) is 1."""
-        gens = list(dict.fromkeys(g for name, g in self.generators().items() if name != "e"))
+        pairs = self._word_factors
         out = self.identity()
         for _ in range(length):
-            g = rng.choice(gens)
-            if rng.randrange(2):
-                g = self.invert(g)
-            out = self.multiply(out, g)
+            out = self.multiply(out, rng.choice(pairs)[rng.randrange(2)])
         return out
 
     def random_element(self, rng, length: int = 5):

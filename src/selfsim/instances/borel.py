@@ -6,9 +6,10 @@ as its normalized representative M: the scalar multiple with every entry
 in F_p[x], no f_k dividing all entries, and M[0][0] monic.  Two
 representatives differ by a unit c * prod f_k^{w_k}; w_k > 0 would make
 f_k divide every entry and w_k < 0 needs it to, and monicity fixes c, so M
-is unique.  The diagonal entries of M are unit monomials
-c_j * prod f_k^{e_jk}, whose exponent vectors are kept beside it; M
-determines them, so elements compare as the pair (M, exponents).  A
+is unique, and an element is M itself, a `TriMat` that compares and
+hashes by its rows.  The diagonal entries of M are unit monomials
+c_j * prod f_k^{e_jk}; their exponent vectors are read off the diagonal
+when needed (`_unit_exps`, memoized per instance), never stored.  A
 product is one triangular product over F_p[x], trial-divided by f_k only
 while every diagonal exponent of f_k is positive; the inverse is the
 adjugate det(M) * M^{-1} (`tri_inverse`), normalized the same way.
@@ -59,7 +60,6 @@ wrong residue and raises ContractViolation.  The generic
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import cached_property
 from operator import add, sub
 
@@ -72,17 +72,8 @@ from ..ring import (
     canonicalize,
     check_keys,
     validate_config,
-    vec,
 )
 from . import MAX_WORD_LENGTH, InstanceConfigError
-
-
-class BorelElem(namedtuple("BorelElem", "mat exps")):
-    """The normalized representative `mat` (a `TriMat`) of an element, and
-    the exponent vectors of its diagonal entries; built by `BorelInstance`
-    only."""
-
-    __slots__ = ()
 
 
 def _span(p: int, const: tuple, basis: list) -> list:
@@ -121,17 +112,27 @@ class BorelInstance(Instance):
         self.n = len(self.ring.polys)
         self.l_exponent = sum(i * (m - i) for i in range(1, m))
         self._degree = p ** self.l_exponent
-        self._zero_exps = ((0,) * self.n,) * m
-        self._identity = BorelElem(TriMat.identity(p, m), self._zero_exps)
+        self._identity = TriMat.identity(p, m)
+        self._exps: dict = {}
 
     # -- element construction ---------------------------------------------
 
-    def _element(self, mat: TriMat, exps: tuple) -> BorelElem:
-        """The element of mat, whose diagonal entries are unit monomials
-        with exponent vectors exps: mat divided by each f_k^v dividing
-        every entry, then scaled to make the corner monic."""
+    def _unit_exps(self, d: DensePoly) -> tuple:
+        """The exponent vector e of the unit monomial d = c * prod f_k^{e_k},
+        memoized per instance."""
+        out = self._exps.get(d)
+        if out is None:
+            cap = d.degree
+            out = self._exps[d] = tuple(_valuation(d, f, cap // f.degree) for f in self.ring.polys)
+        return out
+
+    def _element(self, mat: TriMat) -> TriMat:
+        """The element of mat, whose diagonal entries are unit monomials:
+        mat divided by each f_k^v dividing every entry, then scaled to make
+        the corner monic."""
         rows = mat.rows
         m = self.m
+        exps = [self._unit_exps(rows[i][i]) for i in range(m)]
         for k, f in enumerate(self.ring.polys):
             v = min(e[k] for e in exps)
             if not v:
@@ -143,16 +144,13 @@ class BorelInstance(Instance):
             if v:
                 fv = self.ring._pow(f, v)
                 rows = [[divmod(e, fv)[0] for e in row] for row in rows]
-                exps = tuple(e[:k] + (e[k] - v,) + e[k + 1 :] for e in exps)
         lead = rows[0][0].lead
         if lead != 1:
             c = pow(lead, self.p - 2, self.p)
             rows = [[e.mul_scalar(c) for e in row] for row in rows]
-        if rows is not mat.rows:
-            mat = TriMat._raw(self.p, rows)
-        return BorelElem(mat, exps)
+        return mat if rows is mat.rows else TriMat._raw(self.p, rows)
 
-    def from_literal(self, data: dict) -> BorelElem:
+    def from_literal(self, data: dict) -> TriMat:
         """Element N * D from {"n": [[coeffs or {num, den}, ...], ...],
         "d": [{"c": int, "exps": [ints]}, ...]}.  "n" is m rows of m cells,
         [] on and below the diagonal (N is unitriangular); "d" holds the
@@ -197,20 +195,19 @@ class BorelInstance(Instance):
              for k in range(n)]
         exps = tuple(tuple(map(add, w, t)) for _, w in units)
         rows = [[x.mul_unit(c, e).num for x, (c, _), e in zip(row, units, exps)] for row in cells]
-        return self._element(TriMat(p, rows), exps)
+        return self._element(TriMat(p, rows))
 
-    def share(self, g: BorelElem) -> BorelElem:
-        """g rebuilt from rows and entries out of the value pool, with its
-        exponent vectors pooled through `ring.vec`."""
+    def share(self, g: TriMat) -> TriMat:
+        """g rebuilt from rows and entries out of the value pool."""
         pool = self._value_pool
         rows = []
-        for row in g.mat.rows:
+        for row in g.rows:
             shared = pool.get(row)
             if shared is None:
                 shared = tuple([pool.setdefault(e, e) for e in row])
                 pool[shared] = shared
             rows.append(shared)
-        return BorelElem(TriMat._raw(self.p, rows), vec(tuple(map(vec, g.exps))))
+        return TriMat._raw(self.p, rows)
 
     # -- contract -----------------------------------------------------------
 
@@ -226,31 +223,27 @@ class BorelInstance(Instance):
         return out
 
     def _build_transversal(self):
-        ident = self._identity.mat.rows
+        ident = self._identity.rows
         elems = []
         for tails in itertools.product(*self._row_codes):
             rows = [ident[i][: i + 1] + tail for i, tail in enumerate(tails)]
-            elems.append(BorelElem(TriMat._raw(self.p, rows), self._zero_exps))
+            elems.append(TriMat._raw(self.p, rows))
         return elems
 
-    def identity(self) -> BorelElem:
+    def identity(self) -> TriMat:
         return self._identity
 
-    def multiply(self, a: BorelElem, b: BorelElem) -> BorelElem:
-        exps = tuple(tuple(map(add, x, y)) for x, y in zip(a.exps, b.exps))
-        return self._element(a.mat * b.mat, exps)
+    def multiply(self, a: TriMat, b: TriMat) -> TriMat:
+        return self._element(a * b)
 
-    def invert(self, a: BorelElem) -> BorelElem:
-        # the adjugate's diagonal entry j is the product of the others
-        total = tuple(map(sum, zip(*a.exps)))
-        exps = tuple(tuple(map(sub, total, e)) for e in a.exps)
-        return self._element(tri_inverse(a.mat), exps)
+    def invert(self, a: TriMat) -> TriMat:
+        return self._element(tri_inverse(a))
 
-    def _endo_rows(self, g: BorelElem):
+    def _endo_rows(self, g: TriMat):
         """The rows of M with each entry (i, j) divided by (x-1)^(j-i), or
         None at the first division that leaves a remainder (g off H)."""
         pivot_pow = self.ring.pivot_pow
-        rows = [list(row) for row in g.mat.rows]
+        rows = [list(row) for row in g.rows]
         for i, row in enumerate(rows):
             for j in range(i + 1, self.m):
                 if not row[j].is_zero:
@@ -259,26 +252,26 @@ class BorelInstance(Instance):
                         return None
         return rows
 
-    def h_member(self, g: BorelElem) -> bool:
+    def h_member(self, g: TriMat) -> bool:
         return self._endo_rows(g) is not None
 
-    def endo_f(self, g: BorelElem) -> BorelElem:
+    def endo_f(self, g: TriMat) -> TriMat:
         rows = self._endo_rows(g)
         if rows is None:
             raise NotInH("an entry (i, j) is not divisible by (x-1)^(j-i)")
-        return BorelElem(TriMat._raw(self.p, rows), g.exps)
+        return TriMat._raw(self.p, rows)
 
-    def coset_index(self, g: BorelElem) -> int:
+    def coset_index(self, g: TriMat) -> int:
         """The reduction of `_walk` for the letter t = 1 alone."""
-        a = g.mat.rows
-        ident = self._identity.mat.rows
+        a = g.rows
+        ident = self._identity.rows
         s_rows = ident[-1:]
         for i in range(self.m - 2, -1, -1):
             reduced = self._reduce_row(self._row_sums(a, i, i, s_rows), g, i)
             s_rows = (ident[i][: i + 1] + reduced[: self.m - 1 - i],) + s_rows
         return self._inverse_letters[self._letter(s_rows)]
 
-    def _residue(self, acc: DensePoly, g: BorelElem, i: int, delta: int) -> DensePoly:
+    def _residue(self, acc: DensePoly, g: TriMat, i: int, delta: int) -> DensePoly:
         """The coset formula: the r of degree < delta with acc = M[i][i] * r
         modulo (x-1)^delta, so that acc - M[i][i] * r lies in H's ideal
         and -r is the entry of t^{-1} at (i, i+delta)."""
@@ -286,27 +279,27 @@ class BorelInstance(Instance):
         res = acc % modulus
         if res.is_zero:
             return res
-        lead = g.mat.rows[i][i].lead
-        inv = self.ring._den_inverse(g.exps[i], delta).mul_scalar(pow(lead, self.p - 2, self.p))
+        d = g.rows[i][i]
+        inv = self.ring._den_inverse(self._unit_exps(d), delta).mul_scalar(pow(d.lead, self.p - 2, self.p))
         return res * inv % modulus
 
-    def letters(self, g: BorelElem) -> tuple:
+    def letters(self, g: TriMat) -> tuple:
         images = [0] * self.degree
         states = [None] * self.degree
         for n, s_rows, state_rows in self._walk(g):
             images[n] = self._inverse_letters[self._letter(s_rows)]
-            states[n] = BorelElem(TriMat._raw(self.p, state_rows), g.exps)
+            states[n] = TriMat._raw(self.p, state_rows)
         return images, states
 
-    def _walk(self, g: BorelElem) -> list:
+    def _walk(self, g: TriMat) -> list:
         """(n, rows of S, rows of the state) for every letter t_n, by the
         closed form of the module docstring: rows from the bottom up,
         1 + dim reductions for each configuration of the rows below, and
         the rows of S and of the state combined from them per letter."""
         m, p = self.m, self.p
-        a = g.mat.rows
+        a = g.rows
         x = self.ring.polys[0]
-        ident = self._identity.mat.rows
+        ident = self._identity.rows
         # per configuration of the transversal rows below row i: its share
         # of the letter index, and the rows of S and of the state
         configs = [(0, ident[-1:], a[-1:])]
@@ -338,11 +331,11 @@ class BorelInstance(Instance):
             for l in range(i + 1, self.m)
         ]
 
-    def _reduce_row(self, accs, g: BorelElem, i: int) -> tuple:
+    def _reduce_row(self, accs, g: TriMat, i: int) -> tuple:
         """For the sums acc over the columns l > i of row i: the entries
         -r of S (r the `_residue` of acc), then the state entries
         (acc - M[i][i] * r) / (x-1)^(l-i), an exact division."""
-        d = g.mat.rows[i][i]
+        d = g.rows[i][i]
         s_part, state_part = [], []
         for delta, acc in enumerate(accs, 1):
             res = self._residue(acc, g, i, delta)
@@ -387,33 +380,32 @@ class BorelInstance(Instance):
         slot K, 1-based); xKsS is accepted as an alias."""
         gens = {"e": self._identity}
         m, p = self.m, self.p
-        ident = self._identity.mat.rows
+        ident = self._identity.rows
         for i in range(1, m):
             rows = [list(row) for row in ident]
             rows[i - 1][i] = DensePoly.one(p)
-            gens[f"u{i}"] = BorelElem(TriMat._raw(p, rows), self._zero_exps)
+            gens[f"u{i}"] = TriMat._raw(p, rows)
         for k in range(1, m + 1):
             for sdx in range(self.n):
                 rows = [list(row) for row in ident]
                 rows[k - 1][k - 1] = self.ring.polys[sdx]
-                exps = list(self._zero_exps)
-                exps[k - 1] = tuple(1 if t == sdx else 0 for t in range(self.n))
-                elem = BorelElem(TriMat._raw(p, rows), tuple(exps))
+                elem = TriMat._raw(p, rows)
                 gens[f"x{k}_{sdx}"] = elem
                 gens[f"x{k}s{sdx}"] = elem
         return gens
 
-    def entries(self, g: BorelElem) -> list:
+    def entries(self, g: TriMat) -> list:
         """M / M[0][0] as rows of canonical fractions, the matrix N * D
         scaled so that its first diagonal entry is 1."""
         ring = self.ring
-        a = g.mat.rows
-        corner, e0 = a[0][0], g.exps[0]
+        a = g.rows
+        corner = a[0][0]
+        e0 = self._unit_exps(corner)
         out = []
         for i in range(self.m):
             row = [ring.zero] * self.m
             # diagonal units from their exponents
-            row[i] = ring.one.mul_unit(a[i][i].lead, tuple(map(sub, g.exps[i], e0)))
+            row[i] = ring.one.mul_unit(a[i][i].lead, tuple(map(sub, self._unit_exps(a[i][i]), e0)))
             for j in range(i + 1, self.m):
                 e = a[i][j]
                 if e.is_zero or not any(e0):
@@ -424,7 +416,7 @@ class BorelInstance(Instance):
             out.append(row)
         return out
 
-    def render(self, g: BorelElem) -> str:
+    def render(self, g: TriMat) -> str:
         return "[" + ",".join(
             "[" + ",".join(x.render() for x in row) + "]" for row in self.entries(g)
         ) + "]"
@@ -439,14 +431,14 @@ class BorelInstance(Instance):
             "l_exponent": self.l_exponent,
         }
 
-    def random_h_element(self, rng) -> BorelElem:
+    def random_h_element(self, rng) -> TriMat:
         g = self.random_element(rng)
         pivot_pow = self.ring.pivot_pow
-        rows = [list(row) for row in g.mat.rows]
+        rows = [list(row) for row in g.rows]
         for i, row in enumerate(rows):
             for j in range(i + 1, self.m):
                 row[j] = row[j] * pivot_pow(j - i)
-        return BorelElem(TriMat._raw(self.p, rows), g.exps)
+        return TriMat._raw(self.p, rows)
 
     # -- structure checks ----------------------------------------------------
 
@@ -455,7 +447,7 @@ class BorelInstance(Instance):
         entries obeying the same degree bounds deg <= j-i-1."""
         one = DensePoly.one(self.p)
         for inv in self.transversal_inverses:
-            for i, row in enumerate(inv.mat.rows):
+            for i, row in enumerate(inv.rows):
                 if row[i] != one:
                     return False
                 for j in range(i + 1, self.m):
@@ -463,7 +455,7 @@ class BorelInstance(Instance):
                         return False
         return True
 
-    def diagonal_generator(self, k: int, sdx: int) -> BorelElem:
+    def diagonal_generator(self, k: int, sdx: int) -> TriMat:
         if not (1 <= k <= self.m and 0 <= sdx < self.n):
             raise ValueError("generator indices out of range")
         return self.generators()[f"x{k}_{sdx}"]
@@ -473,14 +465,14 @@ class BorelInstance(Instance):
         per_entry = self.p ** (deg + 1)
         return per_entry ** (self.m * (self.m - 1) // 2)
 
-    def in_delta(self, g: BorelElem, k: int, sdx: int) -> bool:
+    def in_delta(self, g: TriMat, k: int, sdx: int) -> bool:
         """Membership (mod center) in the set of upper-triangular matrices
         with diagonal (1, .., f_s at slot k, .., 1) and polynomial entries
         of degree <= deg f_s.  Such a matrix is normalized (a diagonal one
         leaves no content, and its corner is monic), so M is compared."""
         f = self.ring.polys[sdx]
         one = DensePoly.one(self.p)
-        for i, row in enumerate(g.mat.rows):
+        for i, row in enumerate(g.rows):
             if row[i] != (f if i == k - 1 else one):
                 return False
             for j in range(i + 1, self.m):

@@ -539,7 +539,8 @@ class _LocalFraction:
         """self.num and num * prod b_i^{w_i} (num / den canonical, w zero by
         default) over their common denominator, that denominator, and the
         axes where b_i may divide the sum of the numerators: neither side
-        is scaled there, or the second was raised from denominator 0."""
+        is scaled there, or the second was raised from denominator 0.  A
+        zero self.num is never scaled."""
         scale = self.ring._scale
         n1 = self.num
         out, axes = [], []
@@ -549,7 +550,7 @@ class _LocalFraction:
             e = a if a > t else t
             if e < 0:
                 e = 0
-            if a < e:
+            if a < e and not n1.is_zero:
                 n1 = scale(n1, i, e - a)
             if t < e:
                 num = scale(num, i, e - t)

@@ -22,3 +22,10 @@ def test_one_round_of_one_build_on_the_same_tree():
     for entry in (job, report["total"]):
         assert entry["parent"]["median"] > 0 and entry["change"]["median"] > 0
         assert entry["parent_iqr"] == 0 and entry["won"] in (0, 1)
+    # each sample's own peak RSS, where /proc gives one
+    peaks = job["peak_mb"]
+    assert set(peaks) == {"parent", "change"}
+    if Path("/proc/self/status").exists():
+        assert all(isinstance(mb, float) and 5 < mb < 1000 for mb in peaks.values())
+    else:
+        assert peaks == {"parent": None, "change": None}

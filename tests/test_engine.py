@@ -28,6 +28,7 @@ from selfsim.engine import (
 from selfsim.instances import load_config
 from selfsim.instances.borel import BorelInstance
 from selfsim.instances.lamplighter import LampInstance
+from selfsim.matrix import TriMat
 from selfsim.ring import DensePoly, vec
 
 
@@ -717,14 +718,15 @@ def test_decompositions_with_equal_images_share_one_perm(config):
 def test_elements_are_tuples_of_their_fields(config):
     # an element rebuilt from its fields is equal, hashes alike and hits
     # the decomposition of the original; the exponent vectors of a product
-    # are the pooled ones, which an equal tuple built anew looks up
+    # are the pooled ones, which an equal tuple built anew looks up.  A
+    # Borel element is its normalized matrix, rebuilt from its rows
     inst = load_config(CONFIGS / f"{config}.json")
     rng = random.Random(101)
     for _ in range(4):
         g, h = inst.random_element(rng), inst.random_element(rng)
         gh = inst.multiply(g, h)
         for x in (g, gh, *decompose(inst, g).states):
-            twin = type(x)(*x)
+            twin = TriMat(x.p, x.rows) if inst.family == "borel" else type(x)(*x)
             assert twin == x and hash(twin) == hash(x) and twin is not x
             assert not hasattr(x, "__dict__")
             dec, size = decompose(inst, x), len(inst._decomp_cache)
@@ -736,8 +738,8 @@ def test_elements_are_tuples_of_their_fields(config):
 
 def _pooled_vectors(elem) -> list:
     """The exponent vectors an element stores through `ring.vec`: q and y,
-    and the denominator vector of a fraction r.  A Borel element has none
-    (its states reuse the exps of the element they come from)."""
+    and the denominator vector of a fraction r.  A Borel element has none:
+    it is its normalized matrix."""
     r = getattr(elem, "r", None)
     out = [getattr(elem, "q", None), getattr(elem, "y", None), getattr(r, "den", None)]
     return [v for v in out if v is not None]
@@ -801,15 +803,20 @@ class _CountingEq:
 
 def _twins_with_a_counting_field():
     """(element, equal element as another object) for each element class,
-    the field compared first wrapped in `_CountingEq`."""
+    the field compared first wrapped in `_CountingEq`: for a Borel element,
+    a `TriMat`, its first row."""
     from selfsim.instances.affine import AffineElem
-    from selfsim.instances.borel import BorelElem
     from selfsim.instances.lamplighter import LampElem
     from selfsim.instances.wreath import WreathElem
     from selfsim.ring import MultiSFraction, SFraction
 
     def w(x):
         return _CountingEq(x)
+
+    def w_tri(t):
+        out = TriMat._raw(t.p, t.rows)
+        out.rows = (w(t.rows[0]), *t.rows[1:])
+        return out
 
     lamp_inst = lamp(3)
     wreath = load_config(CONFIGS / "wreath_localized_p2_d2.json")
@@ -824,7 +831,7 @@ def _twins_with_a_counting_field():
         "WreathElem": [WreathElem(w(g.r), g.q, g.y) for _ in range(2)],
         "LampElem": [LampElem(w(u.r), u.q) for _ in range(2)],
         "AffineElem": [AffineElem(v.v, w(v.b)) for _ in range(2)],
-        "BorelElem": [BorelElem(w(b.mat), b.exps) for _ in range(2)],
+        "TriMat": [w_tri(b) for _ in range(2)],
         "SFraction": [SFraction(one.ring, w(one.num), one.den, _canonical=True) for _ in range(2)],
         "MultiSFraction": [
             MultiSFraction(mone.ring, w(mone.num), mone.den, _canonical=True) for _ in range(2)
@@ -933,3 +940,44 @@ def test_sampler_streams_are_pinned(config, seed):
     else:
         g = inst.random_element(rng)
     assert (inst.render(g), rng.randrange(10**6)) == SAMPLER_STREAMS[config, seed]
+
+
+def _random_word_oracle(inst, rng, length):
+    """The reference sampler: the generator list built on every call, and
+    a drawn generator inverted on the spot."""
+    gens = list(dict.fromkeys(g for name, g in inst.generators().items() if name != "e"))
+    out = inst.identity()
+    for _ in range(length):
+        g = rng.choice(gens)
+        if rng.randrange(2):
+            g = inst.invert(g)
+        out = inst.multiply(out, g)
+    return out
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_random_word_matches_its_oracle(config):
+    inst = load_config(CONFIGS / f"{config}.json")
+    rng, oracle_rng = random.Random(43), random.Random(43)
+    for length in (0, 1, 3, 6, 6):
+        assert inst.random_word(rng, length) == _random_word_oracle(inst, oracle_rng, length)
+        assert rng.random() == oracle_rng.random()
+
+
+class _CountingInvert(LampInstance):
+    """Lamplighter instance that counts the calls of its `invert`."""
+
+    inverted = 0
+
+    def invert(self, a):
+        self.inverted += 1
+        return super().invert(a)
+
+
+def test_random_word_inverts_each_generator_at_most_once():
+    inst = _CountingInvert(3, [DensePoly.x(3)])
+    gens = set(inst.generators().values()) - {inst.identity()}
+    rng = random.Random(47)
+    for _ in range(40):
+        inst.random_word(rng, 6)
+    assert 0 < inst.inverted <= len(gens)

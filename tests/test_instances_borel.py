@@ -108,7 +108,7 @@ def test_endo_divides_entries():
     x = DensePoly.x(2)
     g = _elementary(inst, 0, 1, inst.ring.pivot * x)
     img = inst.endo_f(g)
-    assert img.mat.rows[0][1] == x
+    assert img.rows[0][1] == x
     assert inst.endo_f(inst.identity()) == inst.identity()
 
 
@@ -165,16 +165,22 @@ def naive_product(ring, a, b):
             for i in range(m)]
 
 
+def unit_from_exps(inst, d):
+    """The product oracle: the leading coefficient of d times
+    prod f_k^{e_k}, e = `_unit_exps(d)`."""
+    unit = DensePoly.constant(inst.p, d.lead)
+    for f, k in zip(inst.ring.polys, inst._unit_exps(d)):
+        unit = unit * f**k
+    return unit
+
+
 def is_normalized(inst, g):
-    """The stored matrix has its diagonal entries c * prod f_k^{e_k} from
-    the exponent vectors, no f_k dividing every entry, and a monic corner."""
-    rows = g.mat.rows
-    for j, e in enumerate(g.exps):
-        unit = DensePoly.constant(inst.p, rows[j][j].lead)
-        for f, k in zip(inst.ring.polys, e):
-            unit = unit * f**k
-        if rows[j][j] != unit:
-            return False
+    """The element is a matrix whose diagonal entries are rebuilt from the
+    exponents `_unit_exps` reads off them, with no f_k dividing every
+    entry and a monic corner."""
+    rows = g.rows
+    if any(rows[j][j] != unit_from_exps(inst, rows[j][j]) for j in range(inst.m)):
+        return False
     upper = [rows[i][j] for i in range(inst.m) for j in range(i, inst.m)]
     return rows[0][0].is_monic and not any(
         all((e % f).is_zero for e in upper) for f in inst.ring.polys
@@ -204,7 +210,7 @@ def test_literal_is_normalized_modulo_scalars():
     for d in ([{"c": 2}, {"c": 2}], [{"c": 1, "exps": [1, -2]}] * 2):
         assert inst.from_literal({"d": d}) == inst.identity()
     g = inst.from_literal({"n": [[[], [1]], [[], []]], "d": [{"c": 2, "exps": [1, 0]}, {}]})
-    assert g.mat.rows[0] == (DensePoly.x(3), DensePoly.constant(3, 2))
+    assert g.rows[0] == (DensePoly.x(3), DensePoly.constant(3, 2))
     assert inst.render(g) == "[[1,2/(x)],[0,2/(x)]]"
     # as N * D scaled to a first diagonal entry 1
     cell = {"num": [1, 1], "den": [1, 2]}
@@ -319,20 +325,22 @@ def test_letters_closed_form_matches_generic_oracle(config, count):
     elems = seeded_elements(inst, rng, count) + [inst.random_h_element(rng) for _ in range(count)]
     elems.append(inst.multiply(inst.transversal[-1], elems[0]))
     assert any(inst.h_member(g) for g in elems) and not all(inst.h_member(g) for g in elems)
-    assert any(any(map(any, g.exps)) for g in elems)
+    assert any(any(inst._unit_exps(g.rows[i][i])) for g in elems for i in range(inst.m))
     for g in elems:
         images, states = inst.letters(g)
         oracle_images, oracle_states = Instance.letters(inst, g)
         assert images == oracle_images
-        # states compare as (mat, exps): the closed form's exps, taken from
-        # g, equal those the oracle's products normalize to
+        # states compare as normalized matrices: the closed form's rows,
+        # built without a product, equal those the oracle's products
+        # normalize to
         assert states == oracle_states
 
 
 @pytest.mark.parametrize("config", ["configs/borel_m2_p2", "configs/borel_m2_p3", "configs/borel_m3_p2"])
 def test_exps_are_the_exponents_of_the_diagonal(config):
-    # elements compare as (mat, exps), so exps must be what mat determines:
-    # each diagonal entry is its leading coefficient times prod_k f_k^exps[i][k]
+    # the exponents that normalization, the coset formula and rendering
+    # read off a diagonal entry rebuild it: each diagonal entry is its
+    # leading coefficient times prod_k f_k^e_k, e = _unit_exps(entry)
     inst = load_config(ROOT / f"{config}.json")
     rng = random.Random(97)
     sample = []
@@ -340,12 +348,10 @@ def test_exps_are_the_exponents_of_the_diagonal(config):
         h = inst.random_element(rng)
         sample += [g, inst.multiply(g, h), inst.invert(g), inst.endo_f(inst.random_h_element(rng))]
         sample += decompose(inst, g).states
+    assert any(any(inst._unit_exps(g.rows[i][i])) for g in sample for i in range(inst.m))
     for g in sample:
-        for i, row in enumerate(g.mat.rows):
-            expected = DensePoly.constant(inst.p, row[i].lead)
-            for f, e in zip(inst.ring.polys, g.exps[i]):
-                expected = expected * f**e
-            assert row[i] == expected
+        for i, row in enumerate(g.rows):
+            assert row[i] == unit_from_exps(inst, row[i])
 
 
 @pytest.mark.parametrize("config", BOREL_CONFIGS)
@@ -354,7 +360,7 @@ def test_inverse_letters_match_inverted_transversal(config):
     inst = load_config(ROOT / f"{config}.json")
     oracle = [0] * inst.degree
     for j, t in enumerate(inst.transversal_inverses):
-        oracle[inst._letter(t.mat.rows)] = j
+        oracle[inst._letter(t.rows)] = j
     assert inst._inverse_letters == oracle
 
 
@@ -367,3 +373,24 @@ def test_letters_reports_a_wrong_coset_formula(monkeypatch):
         inst.letters(g)
     with pytest.raises(ContractViolation):
         Instance.letters(inst, g)
+
+
+def test_each_product_and_inverse_is_one_matrix_operation(monkeypatch):
+    # the traced matrix.TriMat.mul and matrix.tri_inverse counts measure
+    # the Borel products and inverses only while each multiply and invert
+    # makes exactly one such call
+    from selfsim.instances import borel
+    from selfsim.matrix import TriMat
+
+    inst = make(3, 2)
+    elems = seeded_elements(inst, random.Random(19), 4)
+    calls = []
+    mul, inverse = TriMat.__mul__, borel.tri_inverse
+    monkeypatch.setattr(TriMat, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(borel, "tri_inverse", lambda a: calls.append("inverse") or inverse(a))
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        inst.multiply(a, b)
+        assert calls == ["mul"]
+        inst.invert(a)
+        assert calls == ["mul", "inverse"]
+        calls.clear()

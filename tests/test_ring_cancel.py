@@ -108,3 +108,23 @@ def test_product_cancels_on_reducible_localizer(p, factors):
     u, v = (one.mul_univariate(DensePoly(p, f), 0) for f in factors)
     r = mr.fraction(u, (1, 0)) * mr.fraction(v, (1, 0))
     assert r.num == one and r.den == (1, 0)
+
+
+@pytest.mark.parametrize("key", sorted(RINGS))
+def test_unit_multiple_never_scales_a_zero_numerator(key, monkeypatch):
+    # a unit multiple is the shift-and-add onto zero: raising it to the
+    # common denominator scales the right operand only, here on the axes
+    # where w is positive; on axis 0 the zero left operand is not raised
+    ring = RINGS[key]
+    scaled = []
+    right = ring._scale
+    monkeypatch.setattr(ring, "_scale", lambda num, i, k: scaled.append(num) or right(num, i, k))
+    n = ring.n
+    x = ring.fraction(ring.one.num, (2,) + (0,) * (n - 1))
+    w = (-1,) + (1,) * (n - 1)
+    if key[0] == "s":
+        results = [x.mul_unit(1, w), ring.zero._add_mul(x, x.num, w)]
+    else:
+        results = [x.mul_g_power(0, -1), ring.zero.add_mul(x, (0,) * n, w)]
+    assert scaled and not any(num.is_zero for num in scaled)
+    assert all(canonical(r) and not r.is_zero for r in results)

@@ -13,12 +13,15 @@ alternates from round to round.  Each sample is a fresh interpreter, run
 in its tree (so config paths are relative to it) with PYTHONHASHSEED=0,
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPATH=<tree>/src, which times
 `time.process_time()` around `selfsim.cli.main(argv)` with stdout captured:
-start-up, imports and printing are outside the timed part.
+start-up, imports and printing are outside the timed part.  After the call
+the sample also reads its own peak resident set size, `VmHWM` in
+/proc/self/status, in MB of 1024 kB (null where /proc is absent).
 
 Prints one JSON line: per job, and for the sum over the jobs of a round,
 each tree's median and quartiles in seconds, the parent's interquartile
 range, and the number of rounds the change ran faster (ties count for
-neither).  Exits 1 when the stdout or exit code of a job differs between
+neither); per job also each tree's median `peak_mb` (null when a sample
+has none).  Exits 1 when the stdout or exit code of a job differs between
 its samples (between the trees, or from round to round), and 2 when a
 sample fails to run.
 """
@@ -33,8 +36,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Runs in the child: the CLI's exit code, its stdout and the CPU seconds
-# of the call, as one JSON line on the real stdout.
+# Runs in the child: the CLI's exit code, its stdout, the CPU seconds of
+# the call and the process's peak RSS in MB, as one JSON line on the real
+# stdout.
 CHILD = """
 import io, json, sys, time
 from contextlib import redirect_stdout
@@ -45,7 +49,15 @@ with redirect_stdout(out):
     start = time.process_time()
     code = cli.main(argv)
     cpu = time.process_time() - start
-print(json.dumps({"cpu": cpu, "code": code, "stdout": out.getvalue()}))
+peak = None
+try:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                peak = int(line.split()[1]) / 1024
+except OSError:
+    pass
+print(json.dumps({"cpu": cpu, "code": code, "stdout": out.getvalue(), "peak_mb": peak}))
 """
 
 SIDES = ("parent", "change")
@@ -88,6 +100,7 @@ def main(argv=None) -> int:
         parser.error("ROUNDS must be at least 1 and JOBS a nonempty list of argument lists")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     cpu = {(side, j): [] for side in SIDES for j in range(len(args.jobs))}
+    peak = {key: [] for key in cpu}
     outputs = [set() for _ in args.jobs]
     for r in range(args.rounds):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
@@ -95,11 +108,15 @@ def main(argv=None) -> int:
             for side in order:
                 s = sample(trees[side], job)
                 cpu[side, j].append(s["cpu"])
+                peak[side, j].append(s["peak_mb"])
                 outputs[j].add((s["code"], s["stdout"]))
     report = {"rounds": args.rounds, "jobs": []}
     for j, job in enumerate(args.jobs):
         entry = {"argv": job, "same_output": len(outputs[j]) == 1}
         entry.update(summary(cpu["parent", j], cpu["change", j]))
+        entry["peak_mb"] = {
+            side: None if None in peak[side, j] else statistics.median(peak[side, j]) for side in SIDES
+        }
         report["jobs"].append(entry)
     totals = [[sum(xs) for xs in zip(*(cpu[side, j] for j in range(len(args.jobs))))] for side in SIDES]
     report["total"] = summary(*totals)
