@@ -1,19 +1,19 @@
 """Exact matrices over the ring layer.
 
-Two matrix flavors, sharing one small base (``_SquareMat``: trusted
-construction, the identity, equality and rendering), are used by the
-instance families:
+One class, ``PolyMat``, is a square matrix over F_p[x] stored as a tuple
+of row tuples.  It has one product, which keeps the class of its operands,
+and one fraction-free elimination (Bareiss 1968) behind the determinant
+(``det``), the inverse of a matrix whose determinant is a nonzero
+constant (``inverse_gl``) and the adjugate (``tri_inverse``).  Its
+subclass ``TriMat`` only validates its rows: an upper-triangular matrix
+with no zero on the diagonal, the normalized representative of an element
+of the triangular matrix groups, inverted modulo scalars by its adjugate.
+A TriMat never equals a PolyMat.
 
-* upper-triangular matrices over F_p[x] (``TriMat``), the normalized
-  representatives of the triangular matrix groups' elements, inverted
-  modulo scalars by their adjugate (``tri_inverse``);
-* square matrices over F_p[x] (``PolyMat``) acting on columns given as
-  tuples of polynomials, for the affine family, with the shift-style
-  conjugation by the companion matrix A computed in closed form, and the
-  determinant and inverse by one fraction-free elimination (Bareiss 1968).
-
-In closed form, conjugation by A permutes entries cyclically and moves a
-single factor of (x-1) in and out of the last row/column:
+The affine family's PolyMat acts on columns given as tuples of
+polynomials, and its shift-style conjugation by the companion matrix A is
+computed in closed form.  Conjugation by A permutes entries cyclically
+and moves a single factor of (x-1) in and out of the last row/column:
 
     (A b A^{-1})[i][j] = b[i+1 mod n][j+1 mod n] * (x-1)^eps,
 
@@ -26,13 +26,10 @@ conjugation exists only in the tests as an oracle.
 
 from __future__ import annotations
 
-import functools
-from operator import mul
-
 from .ring import NEG_INF, DensePoly, NotDivisible, NotInvertible
 
 
-class _SquareMat:
+class PolyMat:
     """A square matrix over F_p[x] stored as a tuple of row tuples.  Two
     matrices are equal when they have the same class and the same rows, so
     a TriMat never equals a PolyMat."""
@@ -59,6 +56,11 @@ class _SquareMat:
         one, zero = DensePoly.one(p), DensePoly.zero(p)
         return cls._raw(p, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
+    @classmethod
+    def from_json(cls, p: int, data):
+        """From rows of coefficient lists, JSON integers only."""
+        return cls(p, [[DensePoly.from_json(p, e) for e in row] for row in data])
+
     def __eq__(self, other: object) -> bool:
         return other.__class__ is self.__class__ and self.rows == other.rows
 
@@ -75,8 +77,48 @@ class _SquareMat:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.render()})"
 
+    def __mul__(self, other):
+        """Row i of the product is the sum, over the nonzero a[i][k], of
+        a[i][k] times row k of other, whose zero entries are skipped; so a
+        product of triangular matrices forms only its triangular terms.
+        The product has the class of self."""
+        n = self.size
+        if n != other.size:
+            raise ValueError("size mismatch")
+        zero = DensePoly.zero(self.p)
+        out = []
+        for row in self.rows:
+            acc = [zero] * n
+            for a, brow in zip(row, other.rows):
+                if a.is_zero:
+                    continue
+                for j, b in enumerate(brow):
+                    if not b.is_zero:
+                        s = acc[j]
+                        acc[j] = a * b if s is zero else s + a * b
+            out.append(acc)
+        return self._raw(self.p, out)
 
-class TriMat(_SquareMat):
+    def apply(self, v):
+        """Matrix-vector product, v a sequence of polynomials (a column)."""
+        return tuple(sum_of_products(self.p, zip(row, v)) for row in self.rows)
+
+    def det(self) -> DensePoly:
+        """Determinant by fraction-free elimination (`_eliminate`)."""
+        return _eliminate(self.p, [list(row) for row in self.rows])
+
+    def inverse_gl(self):
+        """Inverse when the determinant d is a nonzero constant: the
+        adjugate (`_adjugate`) scaled by 1/d."""
+        p = self.p
+        d, adj = _adjugate(self)
+        if d.degree != 0:
+            raise NotInvertible("determinant is not a nonzero constant")
+        dinv = pow(d.lead, p - 2, p)
+        return self._raw(p, [[e.mul_scalar(dinv) for e in row] for row in adj])
+
+
+class TriMat(PolyMat):
     """An upper-triangular square matrix over F_p[x] with no zero on the
     diagonal."""
 
@@ -89,18 +131,6 @@ class TriMat(_SquareMat):
                 raise ValueError("entry below the diagonal is nonzero")
             if row[i].is_zero:
                 raise ValueError("zero on the diagonal")
-
-    def __mul__(self, other: "TriMat") -> "TriMat":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n, p = self.size, self.p
-        zero = DensePoly.zero(p)
-        out = [[zero] * n for _ in range(n)]
-        a, b = self.rows, other.rows
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i, j + 1)))
-        return TriMat._raw(p, out)
 
 
 def sum_of_products(p: int, pairs) -> DensePoly:
@@ -115,66 +145,18 @@ def sum_of_products(p: int, pairs) -> DensePoly:
 
 
 def tri_inverse(t: TriMat) -> TriMat:
-    """The adjugate det(t) * t^{-1}, by back substitution: b[i][i] is the
-    product of the other diagonal entries, and for i < j
-
-        b[i][j] = -(sum_{i<k<=j} t[i][k] b[k][j]) / t[i][i],
-
-    a division that is exact because b is the adjugate, and that is
-    skipped where t[i][i] is one.  For unitriangular t, b is the inverse."""
-    n, p, a = t.size, t.p, t.rows
-    zero, one = DensePoly.zero(p), DensePoly.one(p)
-    diag = [a[i][i] for i in range(n)]
-    b = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        b[i][i] = functools.reduce(mul, diag[:i] + diag[i + 1 :], one)
-    for i in range(n - 1, -1, -1):
-        d = diag[i]
-        for j in range(i + 1, n):
-            acc = sum_of_products(p, ((a[i][k], b[k][j]) for k in range(i + 1, j + 1)))
-            if d != one:
-                acc = divmod(acc, d)[0]
-            b[i][j] = -acc
-    return TriMat._raw(p, b)
+    """The adjugate det(t) * t^{-1}, upper triangular like t; for
+    unitriangular t it is the inverse."""
+    return TriMat._raw(t.p, _adjugate(t)[1])
 
 
-class PolyMat(_SquareMat):
-    """A square matrix over F_p[x]."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: "PolyMat") -> "PolyMat":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n, p, a, b = self.size, self.p, self.rows, other.rows
-        return PolyMat._raw(p, [
-            [sum_of_products(p, ((a[i][k], b[k][j]) for k in range(n))) for j in range(n)]
-            for i in range(n)
-        ])
-
-    def apply(self, v):
-        """Matrix-vector product, v a sequence of polynomials (a column)."""
-        return tuple(sum_of_products(self.p, zip(row, v)) for row in self.rows)
-
-    def det(self) -> DensePoly:
-        """Determinant by fraction-free elimination (`_eliminate`)."""
-        return _eliminate(self.p, [list(row) for row in self.rows])
-
-    def inverse_gl(self) -> "PolyMat":
-        """Inverse when the determinant d is a nonzero constant: eliminating
-        [B | I] leaves d B^{-1} in the right block, which is scaled by 1/d."""
-        n, p = self.size, self.p
-        rows = [list(a + b) for a, b in zip(self.rows, PolyMat.identity(p, n).rows)]
-        d = _eliminate(p, rows)
-        if d.degree != 0:
-            raise NotInvertible("determinant is not a nonzero constant")
-        dinv = pow(d.lead, p - 2, p)
-        return PolyMat._raw(p, [[e.mul_scalar(dinv) for e in row[n:]] for row in rows])
-
-    @staticmethod
-    def from_json(p: int, data) -> "PolyMat":
-        """From rows of coefficient lists, JSON integers only."""
-        return PolyMat(p, [[DensePoly.from_json(p, e) for e in row] for row in data])
+def _adjugate(m: PolyMat) -> tuple:
+    """(det(m), the rows of det(m) * m^{-1}) for nonsingular m: the last
+    pivot and the right block of [m | I] after `_eliminate`."""
+    n, p = m.size, m.p
+    rows = [list(a + b) for a, b in zip(m.rows, PolyMat.identity(p, n).rows)]
+    d = _eliminate(p, rows)
+    return d, [row[n:] for row in rows]
 
 
 def _eliminate(p: int, rows: list) -> DensePoly:

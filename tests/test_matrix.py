@@ -7,6 +7,7 @@ import random
 import pytest
 
 from selfsim.instances.affine import AffineInstance
+from selfsim.instances.borel import BorelInstance
 from selfsim.matrix import (
     PolyMat,
     TriMat,
@@ -121,29 +122,47 @@ def test_tri_inverse_props():
                     assert tri_inverse(adj) == scalar(p, m, d ** (m - 2)) * t
 
 
+def _naive_product(a, b):
+    """The oracle: every entry the plain sum over every k, zero factors
+    included."""
+    n, zero = a.size, DensePoly.zero(a.p)
+    return tuple(
+        tuple(sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero) for j in range(n))
+        for i in range(n)
+    )
+
+
 def test_trimat_mul_matches_naive_sum():
     # the product skips zero factors; against the plain sum over every k,
-    # on triangular matrices whose entries include 0, 1 and non-units
+    # on triangular matrices whose entries include 0, 1 and non-units, and
+    # on sparse ones: the identity, the Borel generators (elementary and
+    # diagonal) and rows that are zero off the diagonal
     rng = random.Random(19)
-    p = 2
-    zero = DensePoly.zero(p)
-    choices = [zero, DensePoly.one(p), DensePoly.x(p), P(2, 1, 1), P(2, 1, 0, 1)]
-    for _ in range(30):
-        m = rng.randrange(1, 5)
-        a, b = (
-            TriMat(p, [
-                [rng.choice(choices[1:]) if i == j else rng.choice(choices) if j > i else zero
-                 for j in range(m)]
-                for i in range(m)
-            ])
-            for _ in range(2)
-        )
-        naive = [
-            [sum((a.rows[i][k] * b.rows[k][j] for k in range(m)), zero) for j in range(m)]
-            for i in range(m)
-        ]
-        assert (a * b).rows == tuple(map(tuple, naive))
-        assert a * tri_inverse(a) == scalar(p, m, det(a)) == tri_inverse(a) * a
+    for p in (2, 3):
+        zero = DensePoly.zero(p)
+        choices = [zero, DensePoly.one(p), DensePoly.x(p), P(p, 1, 1), P(p, 1, 0, 1)]
+        pairs = []
+        for _ in range(30):
+            m = rng.randrange(1, 5)
+            pairs.append(tuple(
+                TriMat(p, [
+                    [rng.choice(choices[1:]) if i == j else rng.choice(choices) if j > i else zero
+                     for j in range(m)]
+                    for i in range(m)
+                ])
+                for _ in range(2)
+            ))
+        for m in (2, 3):
+            gens = list(BorelInstance(p, m, [DensePoly.x(p)]).generators().values())
+            diagonal = scalar(p, m, P(p, 1, 1))
+            sparse = TriMat(p, [row[: i + 1] + (zero,) * (m - i - 1) if i % 2 else row
+                                for i, row in enumerate(random_triangular(rng, p, m).rows)])
+            operands = gens + [TriMat.identity(p, m), diagonal, sparse]
+            pairs += [(a, b) for a in operands for b in operands]
+        for a, b in pairs:
+            m = a.size
+            assert (a * b).rows == _naive_product(a, b)
+            assert a * tri_inverse(a) == scalar(p, m, det(a)) == tri_inverse(a) * a
 
 
 def test_trimat_rejects_lower_entries():
@@ -336,19 +355,57 @@ def test_polymat_inverse_rejects_nonconstant_det():
 
 
 def test_polymat_mul_and_apply_match_naive_sums():
-    # products over every k, zero factors included, against sum_of_products
+    # products over every k, zero factors included, against sum_of_products,
+    # on random matrices and on sparse ones: matrices with zero rows, the
+    # identity and the affine generators, which are elementary matrices
     rng = random.Random(53)
     for p in (2, 3):
         zero = DensePoly.zero(p)
         for n in (1, 2, 3):
-            for _ in range(10):
-                a, b = (PolyMat(p, [[random_poly(rng, p, 2) for _ in range(n)] for _ in range(n)])
-                        for _ in range(2))
+            operands = [PolyMat(p, [[random_poly(rng, p, 2) for _ in range(n)] for _ in range(n)])
+                        for _ in range(20)]
+            operands += [
+                PolyMat(p, [(zero,) * n if i % 2 == k else row for i, row in enumerate(m.rows)])
+                for k, m in enumerate(operands[:2])
+            ]
+            operands.append(PolyMat.identity(p, n))
+            if n > 1:
+                operands += [g.b for g in AffineInstance(p, n).generators().values()]
+            pairs = list(zip(operands[:10], operands[10:20]))
+            pairs += [(a, b) for a in operands[18:] for b in operands[18:]]
+            for a, b in pairs:
                 v = tuple(random_poly(rng, p, 2) for _ in range(n))
-                naive = [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero)
-                          for j in range(n)] for i in range(n)]
-                assert a * b == PolyMat(p, naive)
+                assert a * b == PolyMat(p, _naive_product(a, b))
                 assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), zero) for row in a.rows)
+
+
+def test_one_product_two_classes(monkeypatch):
+    # one product and one elimination serve both classes, and the result
+    # keeps the class of its operands; TriMat adds only its validation
+    assert [k for k, v in vars(TriMat).items() if callable(v)] == ["__init__"]
+    rng = random.Random(59)
+    for p in (2, 3, 5):
+        t, u = (random_triangular(rng, p, 3, unit_diagonal=False) for _ in range(2))
+        a, b = (random_borel_matrix(rng, p, 3) for _ in range(2))
+        assert type(t * u) is TriMat and type(tri_inverse(t)) is TriMat
+        assert type(a * b) is PolyMat and type(a.inverse_gl()) is PolyMat
+    # wrapping TriMat's product first and PolyMat's second, as the bench's
+    # tracer does, counts Borel and affine products apart
+    calls = []
+
+    def counting(name, fn):
+        return lambda x, y: calls.append(name) or fn(x, y)
+
+    for name, klass in (("tri", TriMat), ("poly", PolyMat)):
+        monkeypatch.setattr(klass, "__mul__", counting(name, getattr(klass, "__mul__")))
+    for p in (2, 3, 5):
+        borel, affine = BorelInstance(p, 2, [DensePoly.x(p)]), AffineInstance(p, 3)
+        for inst, name in ((borel, "tri"), (affine, "poly")):
+            gens = list(inst.generators().values())
+            for g, h in zip(gens, gens[1:]):
+                inst.multiply(g, h)
+                assert calls == [name]
+                calls.clear()
 
 
 def test_trimat_and_polymat_never_compare_equal():

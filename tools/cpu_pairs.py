@@ -3,17 +3,22 @@
     python3 tools/cpu_pairs.py PARENT CHANGE ROUNDS JOBS
 
 PARENT and CHANGE are checkouts of this repository and JOBS is a JSON list
-of CLI argument lists, for example
+of jobs.  A job is a CLI argument list, or, when its first element is
+"prule", the arguments of the product-rule slice `perfbench/prule.py`
+after that word, as in `perfbench/workloads.py`.  For example
 
     python3 tools/cpu_pairs.py ../parent . 10 \\
-        '[["verify", "configs/lamplighter_p3_n2.json", "--suite", "core"]]'
+        '[["verify", "configs/lamplighter_p3_n2.json", "--suite", "core"],
+          ["prule", "configs/borel_m3_p2.json", "--pairs", "10",
+           "--depth", "4", "--seed", "0"]]'
 
 Each round runs every job once on each tree, and the tree that runs first
 alternates from round to round.  Each sample is a fresh interpreter, run
 in its tree (so config paths are relative to it) with PYTHONHASHSEED=0,
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPATH=<tree>/src, which times
-`time.process_time()` around `selfsim.cli.main(argv)` with stdout captured:
-start-up, imports and printing are outside the timed part.  After the call
+`time.process_time()` around `selfsim.cli.main(argv)`, or the tree's
+`perfbench/prule.py` `main(argv)`, with stdout captured: start-up,
+imports and printing are outside the timed part.  After the call
 the sample also reads its own peak resident set size, `VmHWM` in
 /proc/self/status, in MB of 1024 kB (null where /proc is absent).
 
@@ -36,18 +41,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Runs in the child: the CLI's exit code, its stdout, the CPU seconds of
-# the call and the process's peak RSS in MB, as one JSON line on the real
-# stdout.
+# Runs in the child, in its tree: the job's exit code, its stdout, the CPU
+# seconds of the call and the process's peak RSS in MB, as one JSON line
+# on the real stdout.
 CHILD = """
 import io, json, sys, time
 from contextlib import redirect_stdout
-from selfsim import cli
 argv = json.loads(sys.argv[1])
+if argv[:1] == ["prule"]:
+    sys.path.insert(0, "perfbench")
+    from prule import main
+    argv = argv[1:]
+else:
+    from selfsim.cli import main
 out = io.StringIO()
 with redirect_stdout(out):
     start = time.process_time()
-    code = cli.main(argv)
+    code = main(argv)
     cpu = time.process_time() - start
 peak = None
 try:
@@ -94,7 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("rounds", type=int)
-    parser.add_argument("jobs", type=json.loads, help="a JSON list of CLI argument lists")
+    parser.add_argument("jobs", type=json.loads, help="a JSON list of CLI or prule argument lists")
     args = parser.parse_args(argv)
     if args.rounds < 1 or not args.jobs or not all(isinstance(job, list) for job in args.jobs):
         parser.error("ROUNDS must be at least 1 and JOBS a nonempty list of argument lists")
